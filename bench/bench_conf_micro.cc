@@ -7,9 +7,9 @@
 // string_view refactor (a std::string per call for the property-map key and
 // a second by-value copy handed to InterceptGet); the delta against
 // BM_ConfGet_* is the allocation cost the refactor removed. The in-session
-// arm exercises the arena-interned memoized InterceptGet path: after a
-// parameter's first read in a session, the interned name pointer keys a
-// per-session memo so repeat reads skip plan application and trace updates.
+// arm exercises the memoized InterceptGet path: after a parameter's first
+// read in a session, its interned name id keys a per-session memo so repeat
+// reads skip plan application and trace updates.
 // Parameter names are realistic dotted identifiers well past small-string
 // optimization, so each legacy materialization was a heap round-trip.
 //

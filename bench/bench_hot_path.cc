@@ -61,13 +61,19 @@ namespace {
 std::atomic<uint64_t> g_alloc_count{0};
 std::atomic<uint64_t> g_alloc_bytes{0};
 
-void* CountedAlloc(std::size_t size) {
+// The interposer's allocate/release pair. Both stay out of line, so callers
+// only ever see operator new paired with operator delete: an inlined delete
+// would hand an operator-new pointer straight to free() at the call site,
+// which is a mismatched pair (-Wmismatched-new-delete).
+[[gnu::noinline]] void CountedFree(void* ptr) noexcept { std::free(ptr); }
+
+[[gnu::noinline]] void* CountedAlloc(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   return std::malloc(size != 0 ? size : 1);
 }
 
-void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
+[[gnu::noinline]] void* CountedAlignedAlloc(std::size_t size, std::size_t align) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   void* ptr = nullptr;
@@ -110,25 +116,25 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr) noexcept { CountedFree(ptr); }
+void operator delete[](void* ptr) noexcept { CountedFree(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { CountedFree(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { CountedFree(ptr); }
 void operator delete(void* ptr, const std::nothrow_t&) noexcept {
-  std::free(ptr);
+  CountedFree(ptr);
 }
 void operator delete[](void* ptr, const std::nothrow_t&) noexcept {
-  std::free(ptr);
+  CountedFree(ptr);
 }
-void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { CountedFree(ptr); }
 void operator delete[](void* ptr, std::align_val_t) noexcept {
-  std::free(ptr);
+  CountedFree(ptr);
 }
 void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept {
-  std::free(ptr);
+  CountedFree(ptr);
 }
 void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept {
-  std::free(ptr);
+  CountedFree(ptr);
 }
 
 namespace zebra {

@@ -241,7 +241,7 @@ void RunRegime(const char* regime, int repetitions, std::vector<Row>* rows,
       rows->push_back(Row{regime, mode, workers, seconds, speedup,
                           report.findings.size(), report.cache_hits,
                           report.cache_misses});
-      char cache[32] = "-";
+      char cache[48] = "-";  // two 20-digit counts, '/', NUL
       if (report.cache_hits + report.cache_misses > 0) {
         std::snprintf(cache, sizeof(cache), "%lld/%lld",
                       static_cast<long long>(report.cache_hits),

@@ -33,8 +33,12 @@ void SetLogLevel(LogLevel level) { g_min_level.store(static_cast<int>(level)); }
 
 LogLevel GetLogLevel() { return static_cast<LogLevel>(g_min_level.load()); }
 
+bool LogEnabled(LogLevel level) {
+  return static_cast<int>(level) >= g_min_level.load(std::memory_order_relaxed);
+}
+
 void LogLine(LogLevel level, const std::string& message) {
-  if (static_cast<int>(level) < g_min_level.load(std::memory_order_relaxed)) {
+  if (!LogEnabled(level)) {
     return;
   }
   std::lock_guard<std::mutex> lock(g_emit_mutex);

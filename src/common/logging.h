@@ -22,6 +22,9 @@ enum class LogLevel {
 void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
+// True if a line at `level` would be emitted.
+bool LogEnabled(LogLevel level);
+
 // Emits one line to stderr if `level` >= the configured minimum.
 void LogLine(LogLevel level, const std::string& message);
 
@@ -43,13 +46,29 @@ class LineBuilder {
   std::ostringstream stream_;
 };
 
+// Turns `Voidify() & LineBuilder(...) << a << b` into a void expression, so
+// the ZLOG_* ternary has two void arms. `&` binds looser than `<<`, so the
+// whole stream chain is built first.
+struct Voidify {
+  void operator&(const LineBuilder&) {}
+};
+
 }  // namespace log_internal
 
 }  // namespace zebra
 
-#define ZLOG_DEBUG ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kDebug)
-#define ZLOG_INFO ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kInfo)
-#define ZLOG_WARN ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kWarning)
-#define ZLOG_ERROR ::zebra::log_internal::LineBuilder(::zebra::LogLevel::kError)
+// `ZLOG_X << a << b;` checks the level first: a disabled level constructs no
+// LineBuilder and evaluates none of the streamed operands. Operands therefore
+// must not have side effects the program relies on.
+#define ZLOG_AT(level)                                  \
+  !::zebra::LogEnabled(level)                           \
+      ? (void)0                                         \
+      : ::zebra::log_internal::Voidify() &              \
+            ::zebra::log_internal::LineBuilder(level)
+
+#define ZLOG_DEBUG ZLOG_AT(::zebra::LogLevel::kDebug)
+#define ZLOG_INFO ZLOG_AT(::zebra::LogLevel::kInfo)
+#define ZLOG_WARN ZLOG_AT(::zebra::LogLevel::kWarning)
+#define ZLOG_ERROR ZLOG_AT(::zebra::LogLevel::kError)
 
 #endif  // SRC_COMMON_LOGGING_H_

@@ -1,5 +1,9 @@
 #include "src/conf/conf_agent.h"
 
+#include <iterator>
+#include <thread>
+#include <vector>
+
 #include "src/common/error.h"
 #include "src/common/logging.h"
 #include "src/conf/configuration.h"
@@ -17,7 +21,107 @@ std::atomic<uint64_t> g_next_conf_id{0};
 
 // The agent installed on this thread by ScopedThreadConfAgent, if any.
 thread_local ConfAgent* t_current_agent = nullptr;
+
+// Who owns one conf object. Ownership is exclusive: a conf is node-owned,
+// unit-test-owned or uncertain, never two at once.
+struct ConfRecord {
+  enum class Kind : uint8_t { kNode, kUnitTest, kUncertain };
+  Kind kind = Kind::kUncertain;
+  uint64_t node_id = 0;  // kNode: the owning node's id
+  uint64_t parent = 0;   // the original this conf was cloned from (0: none)
+};
+
+struct NodeInfo {
+  std::string_view node_type;   // interned in the agent's arena
+  int node_index = 0;           // i-th node of this type in this session
+  uint64_t parent_conf_id = 0;  // conf passed into the init function, if any
+};
+
+// Memo key: (conf id, interned parameter-name id).
+struct ReadKey {
+  uint64_t conf_id = 0;
+  uint32_t name_id = 0;
+  bool operator==(const ReadKey& other) const {
+    return conf_id == other.conf_id && name_id == other.name_id;
+  }
+};
+
+struct ReadKeyHash {
+  uint64_t operator()(const ReadKey& key) const {
+    return MixBits(key.conf_id * 0x9E3779B97F4A7C15ULL + key.name_id);
+  }
+};
+
+// Memoized outcome of one (conf object, parameter) pair. Valid until the next
+// promotion (which clears the memo).
+struct ReadMemo {
+  bool read_seen = false;  // a Get was decided (and, in kRecord, recorded)
+  bool has_seen = false;   // a Has was recorded
+  const std::string* assigned = nullptr;  // the Get's override; null: none
+};
+
 }  // namespace
+
+// A conf's resolved owner: what plan lookups and trace elements key on.
+struct ConfAgent::Owner {
+  enum class Kind { kUnknown, kUncertain, kUnitTest, kNode } kind = Kind::kUnknown;
+  std::string_view entity;  // node type or kClientEntity (mapped kinds only)
+  int node_index = -1;      // kNode only
+
+  bool mapped() const { return kind == Kind::kUnitTest || kind == Kind::kNode; }
+  // The index plan values are assigned by: the unit test is client node 0.
+  int plan_index() const { return kind == Kind::kUnitTest ? 0 : node_index; }
+};
+
+// The paper's tables — nodeTable, unitTestConfIDs and uncertainConfIDs (as one
+// exclusive owner per conf), parentToChild, threadContext — plus the read
+// memo. All flat: Reset() empties them in O(1) and keeps their capacity, so a
+// warmed-up agent runs sessions without allocating for its bookkeeping.
+struct ConfAgent::Session {
+  struct InitFrame {
+    std::thread::id thread;
+    uint64_t node_id = 0;
+  };
+
+  // The plan in force: `plan` points at either a caller-owned plan
+  // (BeginSessionBorrowed) or `owned_plan` (BeginSession). Never null while
+  // the session is active.
+  TestPlan owned_plan;
+  const TestPlan* plan = nullptr;
+  SessionMode mode = SessionMode::kRecord;
+  FlatHashMap<uint64_t, ConfRecord, U64Hash> confs;  // conf id -> owner
+  FlatHashMap<uint64_t, NodeInfo, U64Hash> nodes;    // node id -> info
+  FlatHashMap<uint64_t, int, U64Hash> type_counts;   // type name id -> started
+  // Open StartInit frames of every thread, innermost last.
+  std::vector<InitFrame> init_stack;
+  // Hot-path memo; cleared on every promotion.
+  FlatHashMap<ReadKey, ReadMemo, ReadKeyHash> memo;
+  SessionReport report;
+
+  bool recording() const { return mode == SessionMode::kRecord; }
+
+  // The node whose init function is innermost on the calling thread (0: none).
+  uint64_t CurrentInitNode() const {
+    const std::thread::id self = std::this_thread::get_id();
+    for (auto it = init_stack.rbegin(); it != init_stack.rend(); ++it) {
+      if (it->thread == self) {
+        return it->node_id;
+      }
+    }
+    return 0;
+  }
+
+  void Reset() {
+    owned_plan = TestPlan();
+    plan = nullptr;
+    confs.Clear();
+    nodes.Clear();
+    type_counts.Clear();
+    init_stack.clear();
+    memo.Clear();
+    report = SessionReport();
+  }
+};
 
 int SessionReport::TotalNodes() const {
   int total = 0;
@@ -44,6 +148,10 @@ std::set<std::string> SessionReport::AllParamsRead() const {
   return all;
 }
 
+ConfAgent::ConfAgent() : storage_(std::make_unique<Session>()) {}
+
+ConfAgent::~ConfAgent() = default;
+
 ConfAgent& ConfAgent::Instance() {
   static ConfAgent* agent = new ConfAgent();
   return *agent;
@@ -61,25 +169,28 @@ ScopedThreadConfAgent::ScopedThreadConfAgent() : previous_(t_current_agent) {
 
 ScopedThreadConfAgent::~ScopedThreadConfAgent() { t_current_agent = previous_; }
 
-void ConfAgent::BeginSession(TestPlan plan) {
-  std::lock_guard<std::mutex> lock(mutex_);
+void ConfAgent::BeginLocked(const TestPlan* plan, SessionMode mode) {
   if (session_ != nullptr) {
     throw InternalError("ConfAgent session already active; sessions must be serialized");
   }
-  session_ = std::make_unique<Session>();
-  session_->owned_plan = std::move(plan);
-  session_->plan = &session_->owned_plan;
+  session_ = storage_.get();
+  session_->plan = plan;
+  session_->mode = mode;
   in_session_.store(true, std::memory_order_release);
 }
 
-void ConfAgent::BeginSessionBorrowed(const TestPlan* plan) {
+void ConfAgent::BeginSession(TestPlan plan) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (session_ != nullptr) {
-    throw InternalError("ConfAgent session already active; sessions must be serialized");
+  if (session_ == nullptr) {
+    storage_->owned_plan = std::move(plan);
   }
-  session_ = std::make_unique<Session>();
-  session_->plan = plan != nullptr ? plan : &session_->owned_plan;
-  in_session_.store(true, std::memory_order_release);
+  BeginLocked(&storage_->owned_plan, SessionMode::kRecord);
+}
+
+void ConfAgent::BeginSessionBorrowed(const TestPlan* plan, SessionMode mode) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  // Reset() leaves owned_plan empty, so it doubles as the empty plan.
+  BeginLocked(plan != nullptr ? plan : &storage_->owned_plan, mode);
 }
 
 SessionReport ConfAgent::EndSession() {
@@ -88,11 +199,17 @@ SessionReport ConfAgent::EndSession() {
     throw InternalError("ConfAgent::EndSession without an active session");
   }
   SessionReport report = std::move(session_->report);
-  report.uncertain_conf_count = static_cast<int>(session_->uncertain_conf_ids.size());
-  for (const auto& [type, count] : session_->type_counts) {
-    report.node_counts[type] = count;
-  }
-  session_.reset();
+  session_->confs.ForEach([&](uint64_t, const ConfRecord& record) {
+    if (record.kind == ConfRecord::Kind::kUncertain) {
+      ++report.uncertain_conf_count;
+    }
+  });
+  session_->type_counts.ForEach([&](uint64_t type_id, int count) {
+    report.node_counts[std::string(intern_.Text(static_cast<uint32_t>(type_id)))] =
+        count;
+  });
+  session_->Reset();
+  session_ = nullptr;
   in_session_.store(false, std::memory_order_release);
   return report;
 }
@@ -102,12 +219,12 @@ void ConfAgent::StartInit(uint64_t node_ptr, const std::string& node_type) {
   if (session_ == nullptr) {
     return;
   }
+  const InternArena::Interned type = intern_.Intern(node_type);
   NodeInfo info;
-  info.node_id = node_ptr;
-  info.node_type = node_type;
-  info.node_index = session_->type_counts[node_type]++;
-  session_->node_table[node_ptr] = info;
-  session_->thread_context[std::this_thread::get_id()].push_back(node_ptr);
+  info.node_type = type.text;
+  info.node_index = session_->type_counts[type.id]++;
+  session_->nodes[node_ptr] = info;
+  session_->init_stack.push_back(Session::InitFrame{std::this_thread::get_id(), node_ptr});
 }
 
 void ConfAgent::StopInit() {
@@ -115,15 +232,15 @@ void ConfAgent::StopInit() {
   if (session_ == nullptr) {
     return;
   }
-  auto it = session_->thread_context.find(std::this_thread::get_id());
-  if (it == session_->thread_context.end() || it->second.empty()) {
-    ZLOG_WARN << "ConfAgent::StopInit without a matching StartInit on this thread";
-    return;
+  std::vector<Session::InitFrame>& stack = session_->init_stack;
+  const std::thread::id self = std::this_thread::get_id();
+  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+    if (it->thread == self) {
+      stack.erase(std::next(it).base());
+      return;
+    }
   }
-  it->second.pop_back();
-  if (it->second.empty()) {
-    session_->thread_context.erase(it);
-  }
+  ZLOG_WARN << "ConfAgent::StopInit without a matching StartInit on this thread";
 }
 
 void ConfAgent::NewConf(uint64_t conf_id) {
@@ -132,21 +249,17 @@ void ConfAgent::NewConf(uint64_t conf_id) {
     return;
   }
   ++session_->report.conf_objects_created;
+  ConfRecord& record = session_->confs[conf_id];
   // Rule 1.1: created while a node's init function is executing on this thread.
-  auto ctx = session_->thread_context.find(std::this_thread::get_id());
-  if (ctx != session_->thread_context.end() && !ctx->second.empty()) {
-    uint64_t node_id = ctx->second.back();
-    session_->conf_to_node[conf_id] = node_id;
-    session_->node_table[node_id].conf_ids.push_back(conf_id);
+  if (uint64_t node_id = session_->CurrentInitNode(); node_id != 0) {
+    record.kind = ConfRecord::Kind::kNode;
+    record.node_id = node_id;
     return;
   }
-  // Rule 1.2: created before any node has initialized.
-  if (session_->node_table.empty()) {
-    session_->unit_test_conf_ids.insert(conf_id);
-    return;
-  }
-  // Otherwise we cannot map it.
-  session_->uncertain_conf_ids.insert(conf_id);
+  // Rule 1.2: created before any node has initialized. Otherwise we cannot
+  // map it.
+  record.kind = session_->nodes.empty() ? ConfRecord::Kind::kUnitTest
+                                        : ConfRecord::Kind::kUncertain;
 }
 
 void ConfAgent::CloneConf(uint64_t orig_id, uint64_t clone_id) {
@@ -156,43 +269,29 @@ void ConfAgent::CloneConf(uint64_t orig_id, uint64_t clone_id) {
   }
   ++session_->report.conf_objects_created;
   ++session_->report.clones;
-  session_->child_to_parent[clone_id] = orig_id;
-  // Rule 3: the clone belongs to the same entity as the original.
-  auto node_it = session_->conf_to_node.find(orig_id);
-  if (node_it != session_->conf_to_node.end()) {
-    session_->conf_to_node[clone_id] = node_it->second;
-    session_->node_table[node_it->second].conf_ids.push_back(clone_id);
-    return;
-  }
-  if (session_->unit_test_conf_ids.count(orig_id) > 0) {
-    session_->unit_test_conf_ids.insert(clone_id);
-    return;
-  }
-  // Neither side is known: both are uncertain (the original may have been
-  // created outside the session or is itself unmapped).
-  session_->uncertain_conf_ids.insert(orig_id);
-  session_->uncertain_conf_ids.insert(clone_id);
+  // Rule 3: the clone belongs to the same entity as the original. An
+  // original the session never saw gets a fresh record, which is uncertain
+  // (it was created outside the session or is itself unmapped) — and so is
+  // its clone.
+  ConfRecord clone = session_->confs[orig_id];
+  clone.parent = orig_id;
+  session_->confs[clone_id] = clone;
 }
 
 void ConfAgent::PromoteToUnitTestLocked(uint64_t conf_id) {
   // Promotion changes the resolution of already-read confs: their memoized
   // decisions (and recorded-presence markers) are stale. Promotions are a
-  // handful per run; dropping both memos wholesale is cheap and obviously
+  // handful per run; dropping the memo wholesale is O(1) and obviously
   // correct.
-  session_->get_memo.clear();
-  session_->has_memo.clear();
+  session_->memo.Clear();
   uint64_t current = conf_id;
   // Walk the clone chain upward, promoting any uncertain ancestor.
-  for (int depth = 0; depth < 64; ++depth) {
-    if (session_->conf_to_node.count(current) == 0) {
-      session_->uncertain_conf_ids.erase(current);
-      session_->unit_test_conf_ids.insert(current);
+  for (int depth = 0; depth < 64 && current != 0; ++depth) {
+    ConfRecord& record = session_->confs[current];
+    if (record.kind != ConfRecord::Kind::kNode) {
+      record.kind = ConfRecord::Kind::kUnitTest;
     }
-    auto parent_it = session_->child_to_parent.find(current);
-    if (parent_it == session_->child_to_parent.end()) {
-      break;
-    }
-    current = parent_it->second;
+    current = record.parent;
   }
 }
 
@@ -203,24 +302,23 @@ void ConfAgent::RefToCloneConf(uint64_t orig_id, uint64_t clone_id) {
   }
   ++session_->report.conf_objects_created;
   ++session_->report.ref_to_clones;
-  session_->child_to_parent[clone_id] = orig_id;
 
   // Rule 2: the clone belongs to the node whose init function is executing.
-  auto ctx = session_->thread_context.find(std::this_thread::get_id());
-  if (ctx == session_->thread_context.end() || ctx->second.empty()) {
+  ConfRecord clone;
+  clone.parent = orig_id;
+  if (uint64_t node_id = session_->CurrentInitNode(); node_id == 0) {
     ZLOG_WARN << "refToCloneConf called outside a node initialization function";
-    session_->uncertain_conf_ids.insert(clone_id);
   } else {
-    uint64_t node_id = ctx->second.back();
-    session_->conf_to_node[clone_id] = node_id;
-    NodeInfo& node = session_->node_table[node_id];
-    node.conf_ids.push_back(clone_id);
-    node.parent_conf_id = orig_id;
+    clone.kind = ConfRecord::Kind::kNode;
+    clone.node_id = node_id;
+    session_->nodes[node_id].parent_conf_id = orig_id;
   }
+  session_->confs[clone_id] = clone;
 
   // Rule 2 + Rule 3 back-propagation: the original (and its uncertain
   // ancestors) belong to the unit test.
-  if (session_->conf_to_node.count(orig_id) == 0) {
+  const ConfRecord* orig = session_->confs.Find(orig_id);
+  if (orig == nullptr || orig->kind != ConfRecord::Kind::kNode) {
     PromoteToUnitTestLocked(orig_id);
     session_->report.conf_sharing_detected = true;
   } else {
@@ -228,93 +326,75 @@ void ConfAgent::RefToCloneConf(uint64_t orig_id, uint64_t clone_id) {
   }
 }
 
-std::optional<std::string> ConfAgent::ResolveEntityLocked(uint64_t conf_id,
-                                                          int* node_index) const {
-  if (node_index != nullptr) {
-    *node_index = -1;
+ConfAgent::Owner ConfAgent::ResolveLocked(uint64_t conf_id) const {
+  Owner owner;
+  const ConfRecord* record = session_->confs.Find(conf_id);
+  if (record == nullptr) {
+    return owner;
   }
-  auto node_it = session_->conf_to_node.find(conf_id);
-  if (node_it != session_->conf_to_node.end()) {
-    const NodeInfo& node = session_->node_table.at(node_it->second);
-    if (node_index != nullptr) {
-      *node_index = node.node_index;
-    }
-    return node.node_type;
+  switch (record->kind) {
+    case ConfRecord::Kind::kNode:
+      if (const NodeInfo* node = session_->nodes.Find(record->node_id)) {
+        owner.kind = Owner::Kind::kNode;
+        owner.entity = node->node_type;
+        owner.node_index = node->node_index;
+      }
+      break;
+    case ConfRecord::Kind::kUnitTest:
+      owner.kind = Owner::Kind::kUnitTest;
+      owner.entity = kClientEntity;
+      break;
+    case ConfRecord::Kind::kUncertain:
+      owner.kind = Owner::Kind::kUncertain;
+      break;
   }
-  if (session_->unit_test_conf_ids.count(conf_id) > 0) {
-    return std::string(kClientEntity);
-  }
-  if (session_->uncertain_conf_ids.count(conf_id) > 0) {
-    return std::string(kUncertainEntity);
-  }
-  return std::nullopt;
+  return owner;
 }
 
-std::string_view ConfAgent::InternLocked(std::string_view name) {
-  return intern_.Intern(name);
-}
-
-std::string ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name,
-                                    std::string current) {
+const std::string* ConfAgent::InterceptGet(uint64_t conf_id, std::string_view name) {
   if (!InSession()) {
-    return current;
+    return nullptr;
   }
   std::lock_guard<std::mutex> lock(mutex_);
   if (session_ == nullptr) {
-    return current;
+    return nullptr;
   }
-  session_->report.any_conf_usage = true;
+  Session& session = *session_;
+  session.report.any_conf_usage = true;
 
-  // Steady state: every read after the first of a (conf, param) pair is one
-  // hash of the name bytes plus one memo probe — no intern-table lookup, no
-  // entity resolution, no plan lookup, no trace-element construction (set
-  // inserts are idempotent; only per-call counters remain). The probe key
-  // views the caller's buffer; equality compares bytes against the interned
-  // copy stored at first read.
-  auto memo_it = session_->get_memo.find(ReadKey{conf_id, name});
-  if (memo_it != session_->get_memo.end()) {
-    const ReadMemo& memo = memo_it->second;
-    if (memo.has_override) {
-      ++session_->report.override_hits;
-      return memo.override_value;
+  // One hash of the name bytes and one intern probe give the name's id; one
+  // memo probe on (conf, id) finds or makes the pair's entry. Every read
+  // after the first of a pair stops there: no entity resolution, no plan
+  // lookup, no recording.
+  const InternArena::Interned interned = intern_.Intern(name);
+  ReadMemo& memo = session.memo[ReadKey{conf_id, interned.id}];
+  if (!memo.read_seen) {
+    memo.read_seen = true;
+    const Owner owner = ResolveLocked(conf_id);
+    if (!owner.mapped()) {
+      // Either a conf created outside the session (e.g. a process-global
+      // default) or one we could not map — both are uncertain usage.
+      // Uncertain confs never receive overrides, so the trace marker is
+      // plan-invariant and the memoized decision is stable.
+      if (session.recording()) {
+        session.report.uncertain_params.emplace(interned.text);
+        session.report.trace_elements.insert(TraceUncertainElement(interned.text));
+      }
+    } else {
+      // Only node-owned and unit-test-owned confs receive plan values.
+      const int index = owner.plan_index();
+      memo.assigned = session.plan->Lookup(interned.text, owner.entity, index);
+      if (session.recording()) {
+        session.report.reads[std::string(owner.entity)].emplace(interned.text);
+        session.report.trace_elements.insert(
+            TraceReadElement(owner.entity, index, interned.text, memo.assigned));
+      }
     }
-    return current;
   }
-
-  ReadMemo memo;
-  std::string_view interned = InternLocked(name);
-  const std::string interned_str(interned);
-  int node_index = -1;
-  std::optional<std::string> entity = ResolveEntityLocked(conf_id, &node_index);
-  if (!entity.has_value() || *entity == kUncertainEntity) {
-    // Either a conf created outside the session (e.g. a process-global
-    // default) or one we could not map — both are uncertain usage. Uncertain
-    // confs never receive overrides, so the trace marker is plan-invariant
-    // and the memoized decision is stable.
-    session_->report.uncertain_params.insert(interned_str);
-    session_->report.trace_elements.insert(TraceUncertainElement(interned_str));
-    memo.uncertain = true;
-    session_->get_memo.emplace(ReadKey{conf_id, interned}, std::move(memo));
-    return current;
+  if (memo.assigned != nullptr) {
+    ++session.report.override_hits;
   }
-  session_->report.reads[*entity].insert(interned_str);
-
-  // Only node-owned and unit-test-owned confs receive plan values.
-  int index = (*entity == kClientEntity) ? 0 : node_index;
-  std::optional<std::string> assigned =
-      session_->plan->Lookup(interned_str, *entity, index);
-  session_->report.trace_elements.insert(TraceReadElement(
-      *entity, index, interned_str, assigned.has_value() ? &*assigned : nullptr));
-  memo.has_override = assigned.has_value();
-  if (assigned.has_value()) {
-    memo.override_value = *assigned;
-  }
-  session_->get_memo.emplace(ReadKey{conf_id, interned}, std::move(memo));
-  if (assigned.has_value()) {
-    ++session_->report.override_hits;
-    return *assigned;
-  }
-  return current;
+  return memo.assigned;
 }
 
 void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
@@ -322,33 +402,31 @@ void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
     return;
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  if (session_ == nullptr) {
+  if (session_ == nullptr || !session_->recording()) {
     return;
   }
+  Session& session = *session_;
   // A presence check is pure recording; once the trace element for this
-  // (conf, param) pair exists, repeats are no-ops. Probe with the caller's
-  // buffer first (steady state skips interning); intern only when recording.
-  if (session_->has_memo.count(ReadKey{conf_id, name}) > 0) {
+  // (conf, param) pair exists, repeats are no-ops.
+  const InternArena::Interned interned = intern_.Intern(name);
+  ReadMemo& memo = session.memo[ReadKey{conf_id, interned.id}];
+  if (memo.has_seen) {
     return;
   }
-  std::string_view interned = InternLocked(name);
-  session_->has_memo.insert(ReadKey{conf_id, interned});
-  const std::string interned_str(interned);
-  int node_index = -1;
-  std::optional<std::string> entity = ResolveEntityLocked(conf_id, &node_index);
-  if (!entity.has_value() || *entity == kUncertainEntity) {
-    session_->report.trace_elements.insert(TraceUncertainElement(interned_str));
+  memo.has_seen = true;
+  const Owner owner = ResolveLocked(conf_id);
+  if (!owner.mapped()) {
+    session.report.trace_elements.insert(TraceUncertainElement(interned.text));
     return;
   }
-  int index = (*entity == kClientEntity) ? 0 : node_index;
-  std::optional<std::string> assigned =
-      session_->plan->Lookup(interned_str, *entity, index);
-  session_->report.trace_elements.insert(TraceHasElement(
-      *entity, index, interned_str, assigned.has_value() ? &*assigned : nullptr));
+  const int index = owner.plan_index();
+  session.report.trace_elements.insert(
+      TraceHasElement(owner.entity, index, interned.text,
+                      session.plan->Lookup(interned.text, owner.entity, index)));
 }
 
-void ConfAgent::InterceptSet(uint64_t conf_id, const std::string& name,
-                             const std::string& value) {
+void ConfAgent::InterceptSet(uint64_t conf_id, std::string_view name,
+                             std::string_view value) {
   if (!InSession()) {
     return;
   }
@@ -358,19 +436,19 @@ void ConfAgent::InterceptSet(uint64_t conf_id, const std::string& name,
     if (session_ == nullptr) {
       return;
     }
-    auto node_it = session_->conf_to_node.find(conf_id);
-    if (node_it == session_->conf_to_node.end()) {
+    const ConfRecord* record = session_->confs.Find(conf_id);
+    if (record == nullptr || record->kind != ConfRecord::Kind::kNode) {
       return;
     }
-    const NodeInfo& node = session_->node_table.at(node_it->second);
-    if (node.parent_conf_id == 0) {
+    const NodeInfo* node = session_->nodes.Find(record->node_id);
+    if (node == nullptr || node->parent_conf_id == 0) {
       return;
     }
-    auto registry_it = conf_registry_.find(node.parent_conf_id);
-    if (registry_it == conf_registry_.end()) {
+    Configuration* const* registered = conf_registry_.Find(node->parent_conf_id);
+    if (registered == nullptr) {
       return;
     }
-    parent = registry_it->second;
+    parent = *registered;
   }
   // Write back into the parent so that unit-test code which expects the node
   // to fill values into the shared conf still observes them (paper §6.3).
@@ -385,7 +463,7 @@ void ConfAgent::RegisterConfObject(uint64_t conf_id, Configuration* conf) {
 
 void ConfAgent::UnregisterConfObject(uint64_t conf_id) {
   std::lock_guard<std::mutex> lock(mutex_);
-  conf_registry_.erase(conf_id);
+  conf_registry_.Erase(conf_id);
 }
 
 std::optional<std::string> ConfAgent::EntityOf(uint64_t conf_id) const {
@@ -393,7 +471,17 @@ std::optional<std::string> ConfAgent::EntityOf(uint64_t conf_id) const {
   if (session_ == nullptr) {
     return std::nullopt;
   }
-  return ResolveEntityLocked(conf_id, nullptr);
+  const Owner owner = ResolveLocked(conf_id);
+  switch (owner.kind) {
+    case Owner::Kind::kUnknown:
+      return std::nullopt;
+    case Owner::Kind::kUncertain:
+      return std::string(kUncertainEntity);
+    case Owner::Kind::kUnitTest:
+    case Owner::Kind::kNode:
+      break;
+  }
+  return std::string(owner.entity);
 }
 
 int ConfAgent::NodeIndexOf(uint64_t conf_id) const {
@@ -401,9 +489,7 @@ int ConfAgent::NodeIndexOf(uint64_t conf_id) const {
   if (session_ == nullptr) {
     return -1;
   }
-  int index = -1;
-  ResolveEntityLocked(conf_id, &index);
-  return index;
+  return ResolveLocked(conf_id).node_index;
 }
 
 }  // namespace zebra

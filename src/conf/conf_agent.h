@@ -30,14 +30,21 @@
 // remain usable as ordinary libraries.
 //
 // Hot path. InterceptGet is called for every configuration read a unit test
-// makes — millions per campaign. The agent keeps an arena-backed intern
-// table (common/intern_arena.h) shared across all sessions it runs, and a
-// per-session memo keyed by (conf object, parameter-name bytes): the first
-// read of a (conf, param) pair interns the name, resolves ownership, records
-// the read and its trace element, and caches the plan decision; every
-// subsequent read hashes the name bytes once and probes the memo — no intern
-// lookup, no tree walk. Ownership-mutating events (new confs, clones,
-// promotions) are rare and simply clear the memo.
+// makes — millions per campaign. Every read hashes the name bytes once
+// (word-at-a-time) and probes the agent-lifetime intern table
+// (common/intern_arena.h) for the name's dense id; the per-session read memo
+// is a flat table keyed by (conf id, name id), so the first read of a pair
+// costs one more probe and no allocation, and every later read returns the
+// memoized plan decision — no entity resolution, no plan walk, no recording.
+// Overrides come back as pointers into the plan, never as string copies.
+// Ownership-mutating promotions (a handful per run) clear the memo in O(1).
+//
+// Recording is paid only where it is consumed. A kRecord session fills the
+// per-read parts of the SessionReport (reads, uncertain_params,
+// trace_elements) that test generation and the run cache need; a kVerdict
+// session — every dynamic-phase execution when no run cache is installed —
+// makes the same override decisions and skips that bookkeeping. Session
+// state is reused across sessions: its tables are cleared, not freed.
 
 #ifndef SRC_CONF_CONF_AGENT_H_
 #define SRC_CONF_CONF_AGENT_H_
@@ -51,14 +58,9 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
-#include <vector>
 
+#include "src/common/flat_hash_map.h"
 #include "src/common/intern_arena.h"
-#include "src/common/rng.h"
 #include "src/conf/test_plan.h"
 
 namespace zebra {
@@ -108,6 +110,18 @@ struct SessionReport {
   std::set<std::string> AllParamsRead() const;
 };
 
+// What a session records (see "Hot path" above). Both modes make identical
+// override decisions and count override_hits, conf objects and nodes.
+enum class SessionMode {
+  // Full report, including the per-read reads/uncertain_params/
+  // trace_elements. Pre-runs, dependency mining and every execution whose
+  // result enters the run cache.
+  kRecord,
+  // Those three fields stay empty. For executions whose only consumer is the
+  // pass/fail verdict.
+  kVerdict,
+};
+
 class ConfAgent {
  public:
   // The process-wide default agent (what Current() resolves to on threads
@@ -120,25 +134,27 @@ class ConfAgent {
 
   // Instantiable for per-worker isolation (see ScopedThreadConfAgent). Most
   // code should use Current()/Instance() rather than constructing agents.
-  ConfAgent() = default;
+  ConfAgent();
+  ~ConfAgent();
 
   ConfAgent(const ConfAgent&) = delete;
   ConfAgent& operator=(const ConfAgent&) = delete;
 
   // ---- Session control (harness side) --------------------------------------
 
-  // Starts a session. `plan` may be empty (pre-run / record-only). Only one
-  // session may be active at a time; test executions are serialized.
+  // Starts a kRecord session that owns `plan` (which may be empty: pre-run /
+  // record-only). Only one session may be active at a time; test executions
+  // are serialized.
   void BeginSession(TestPlan plan);
 
   // Starts a session that *borrows* `plan` — the caller keeps ownership and
-  // must keep the plan alive (and unmutated) until EndSession. This is the
-  // hot-path entry: RunUnitTest already holds the plan for the whole
-  // execution, so copying it into the session only to read Lookup() from it
-  // was pure allocation traffic.
-  void BeginSessionBorrowed(const TestPlan* plan);
+  // must keep the plan alive (and unmutated) until EndSession; nullptr means
+  // the empty plan. This is the hot-path entry: RunUnitTest already holds the
+  // plan for the whole execution.
+  void BeginSessionBorrowed(const TestPlan* plan, SessionMode mode);
 
-  // Ends the session and returns everything it observed.
+  // Ends the session and returns everything it observed (in kVerdict mode,
+  // without the per-read fields).
   SessionReport EndSession();
 
   bool InSession() const { return in_session_.load(std::memory_order_acquire); }
@@ -153,27 +169,26 @@ class ConfAgent {
   // Configuration-class hooks.
   void NewConf(uint64_t conf_id);
   void CloneConf(uint64_t orig_id, uint64_t clone_id);
-  // Returns the node id the clone was attached to (0 if none).
   void RefToCloneConf(uint64_t orig_id, uint64_t clone_id);
 
-  // Interception of Configuration::Get: may replace `current` with the value
-  // the plan assigns to the conf's owning entity. Takes a string_view so the
-  // caller never materializes a std::string for the name; the session keeps a
-  // single interned copy per parameter for its recording structures.
-  std::string InterceptGet(uint64_t conf_id, std::string_view name,
-                           std::string current);
+  // Interception of Configuration::Get: returns the value the plan assigns
+  // to the conf's owning entity, or nullptr when the stored value (or the
+  // caller's default) is to be served. The pointee lives in the session's
+  // plan and stays valid until the session ends.
+  const std::string* InterceptGet(uint64_t conf_id, std::string_view name);
 
   // Interception of Configuration::Has: records the presence check in the
   // session trace (a plan override never changes what Has() returns, but the
   // equivalence layer must still see that the parameter was observed).
   // Deliberately does not touch `reads`/`uncertain_params`/`any_conf_usage`,
-  // so test generation is unchanged by presence checks.
+  // so test generation is unchanged by presence checks. A no-op in kVerdict
+  // sessions, which record no trace.
   void InterceptHas(uint64_t conf_id, std::string_view name);
 
   // Interception of Configuration::Set: propagates the write to the parent
   // configuration object when the conf belongs to a node that was initialized
   // from a unit-test conf (paper: interceptSet parent write-back).
-  void InterceptSet(uint64_t conf_id, const std::string& name, const std::string& value);
+  void InterceptSet(uint64_t conf_id, std::string_view name, std::string_view value);
 
   // ---- Configuration-object registry ----------------------------------------
 
@@ -197,84 +212,29 @@ class ConfAgent {
   int NodeIndexOf(uint64_t conf_id) const;
 
  private:
-  struct NodeInfo {
-    uint64_t node_id = 0;  // hashCode analog: the node object's address
-    std::string node_type;
-    int node_index = 0;  // i-th node of this type in this session
-    std::vector<uint64_t> conf_ids;
-    uint64_t parent_conf_id = 0;  // conf passed into the init function, if any
-  };
+  // Session state; defined in conf_agent.cc. One instance per agent, reused
+  // by every session it runs.
+  struct Session;
+  struct Owner;
 
-  // Memoized outcome of one (conf object, parameter) read: the entity
-  // resolution, the plan decision, and whether the trace/report bookkeeping
-  // already happened. Valid until the next ownership-mutating event.
-  struct ReadMemo {
-    bool uncertain = false;      // unmapped or @uncertain: never overridden
-    bool has_override = false;   // the plan assigns a value for this read
-    std::string override_value;  // valid when has_override
-  };
-
-  // Memo key: (conf id, parameter-name bytes). The stored view points into
-  // the agent-lifetime intern arena; lookups may pass a view into the
-  // caller's own buffer — equality compares bytes, so the steady-state read
-  // path never touches the intern table at all.
-  struct ReadKey {
-    uint64_t conf_id = 0;
-    std::string_view name;
-
-    bool operator==(const ReadKey& other) const {
-      return conf_id == other.conf_id && name == other.name;
-    }
-  };
-
-  struct ReadKeyHash {
-    size_t operator()(const ReadKey& key) const {
-      return static_cast<size_t>(HashCombine(key.conf_id, Fnv1a64(key.name)));
-    }
-  };
-
-  struct Session {
-    // The plan in force: `plan` points at either a caller-owned plan
-    // (BeginSessionBorrowed) or `owned_plan` (BeginSession). Never null while
-    // the session is active.
-    TestPlan owned_plan;
-    const TestPlan* plan = nullptr;
-    std::map<uint64_t, NodeInfo> node_table;           // node_id -> info
-    std::map<uint64_t, uint64_t> conf_to_node;         // conf_id -> node_id
-    std::set<uint64_t> unit_test_conf_ids;
-    std::set<uint64_t> uncertain_conf_ids;
-    std::map<uint64_t, uint64_t> child_to_parent;      // clone -> original
-    std::map<std::thread::id, std::vector<uint64_t>> thread_context;
-    std::map<std::string, int> type_counts;            // node_type -> next index
-
-    // Hot-path memo. Cleared on every ownership mutation
-    // (NewConf/CloneConf/RefToCloneConf), which are a handful of events per
-    // run against millions of reads. Hash maps, not trees: a steady-state
-    // read is one hash of the name bytes plus one bucket probe, instead of
-    // an intern-arena probe followed by O(log n) pair comparisons.
-    std::unordered_map<ReadKey, ReadMemo, ReadKeyHash> get_memo;
-    std::unordered_set<ReadKey, ReadKeyHash> has_memo;
-
-    SessionReport report;
-  };
-
-  // Interns `name` in the agent-lifetime arena (no per-session re-interning;
-  // the vocabulary is shared by every session this agent runs). Caller holds
-  // mutex.
-  std::string_view InternLocked(std::string_view name);
-
-  // Resolves a conf id to its entity key; records nothing. Caller holds mutex.
-  std::optional<std::string> ResolveEntityLocked(uint64_t conf_id, int* node_index) const;
+  // Resolves a conf id to its owner; records nothing. Caller holds mutex.
+  Owner ResolveLocked(uint64_t conf_id) const;
 
   // Moves `conf_id` and its transitive parents from uncertain to unit-test
   // ownership (used by Rule 2 + Rule 3 back-propagation). Caller holds mutex.
   void PromoteToUnitTestLocked(uint64_t conf_id);
 
+  // Starts a session over `plan` (never null). Caller holds mutex.
+  void BeginLocked(const TestPlan* plan, SessionMode mode);
+
   mutable std::mutex mutex_;
-  std::unique_ptr<Session> session_;
+  std::unique_ptr<Session> storage_;  // allocated once, reused
+  Session* session_ = nullptr;        // storage_ while a session is active
   std::atomic<bool> in_session_{false};
-  InternArena intern_;  // agent-lifetime; views outlive every session
-  std::map<uint64_t, Configuration*> conf_registry_;
+  // Agent-lifetime intern table for parameter names and node types: ids and
+  // views outlive every session.
+  InternArena intern_;
+  FlatHashMap<uint64_t, Configuration*, U64Hash> conf_registry_;
 };
 
 // RAII session guard used by the harness. Binds to the thread-current agent
@@ -287,8 +247,9 @@ class ConfAgentSession {
   }
   // Borrowing form: `plan` must outlive the session (RunUnitTest owns the
   // plan for the whole execution, so the session need not copy it).
-  explicit ConfAgentSession(const TestPlan* plan) : agent_(&ConfAgent::Current()) {
-    agent_->BeginSessionBorrowed(plan);
+  ConfAgentSession(const TestPlan* plan, SessionMode mode)
+      : agent_(&ConfAgent::Current()) {
+    agent_->BeginSessionBorrowed(plan, mode);
   }
   ~ConfAgentSession() {
     if (!ended_) {

@@ -8,6 +8,13 @@ namespace zebra {
 
 namespace {
 constexpr char kConfApp[] = "configuration";
+
+// The get hook: every getter, typed or not, reaches ConfAgent through this
+// one annotated site. Returns the plan's override, or nullptr.
+const std::string* GetHook(uint64_t conf_id, std::string_view name) {
+  ZC_ANNOTATION_SITE(kConfApp, AnnotationKind::kConfHook);
+  return ConfAgent::Current().InterceptGet(conf_id, name);
+}
 }  // namespace
 
 Configuration::Configuration()
@@ -44,8 +51,11 @@ Configuration Configuration::RefToClone(const Configuration& source) {
   return Configuration(RefCloneTag{}, source);
 }
 
-std::string Configuration::GetStored(std::string_view name,
-                                     std::string_view default_value) const {
+std::string Configuration::Get(std::string_view name,
+                               std::string_view default_value) const {
+  if (const std::string* assigned = GetHook(id_, name)) {
+    return *assigned;
+  }
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = properties_.find(name);
   if (it == properties_.end()) {
@@ -54,37 +64,43 @@ std::string Configuration::GetStored(std::string_view name,
   return it->second;
 }
 
-std::string Configuration::Get(std::string_view name,
-                               std::string_view default_value) const {
-  ZC_ANNOTATION_SITE(kConfApp, AnnotationKind::kConfHook);
-  return ConfAgent::Current().InterceptGet(id_, name, GetStored(name, default_value));
+template <typename T, typename Parse, typename Absent>
+T Configuration::GetParsed(std::string_view name, T default_value, Parse parse,
+                           Absent absent) const {
+  // The served value parsed in place — the plan's or the stored string is
+  // never copied. Malformed values fall back to the default, like Hadoop's
+  // Configuration; an absent key yields absent().
+  T parsed = default_value;
+  if (const std::string* assigned = GetHook(id_, name)) {
+    return parse(*assigned, &parsed) ? parsed : default_value;
+  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = properties_.find(name);
+  if (it == properties_.end()) {
+    return absent();
+  }
+  return parse(it->second, &parsed) ? parsed : default_value;
 }
 
 bool Configuration::GetBool(std::string_view name, bool default_value) const {
-  bool parsed = default_value;
-  std::string value = Get(name, BoolToString(default_value));
-  if (!ParseBool(value, &parsed)) {
-    return default_value;
-  }
-  return parsed;
+  // BoolToString/ParseBool round-trip exactly, so an absent key yields the
+  // default itself.
+  return GetParsed(name, default_value, ParseBool, [&] { return default_value; });
 }
 
 int64_t Configuration::GetInt(std::string_view name, int64_t default_value) const {
-  int64_t parsed = default_value;
-  std::string value = Get(name, Int64ToString(default_value));
-  if (!ParseInt64(value, &parsed)) {
-    return default_value;
-  }
-  return parsed;
+  // Int64ToString/ParseInt64 round-trip exactly, as for GetBool.
+  return GetParsed(name, default_value, ParseInt64, [&] { return default_value; });
 }
 
 double Configuration::GetDouble(std::string_view name, double default_value) const {
-  double parsed = default_value;
-  std::string value = Get(name, DoubleToString(default_value));
-  if (!ParseDouble(value, &parsed)) {
-    return default_value;
-  }
-  return parsed;
+  // "%g" does not round-trip: an absent key serves the default as formatted
+  // text, exactly as Get(name, DoubleToString(default_value)) would.
+  return GetParsed(name, default_value, ParseDouble, [&] {
+    double parsed = default_value;
+    return ParseDouble(DoubleToString(default_value), &parsed) ? parsed
+                                                               : default_value;
+  });
 }
 
 bool Configuration::Has(std::string_view name) const {
@@ -106,7 +122,7 @@ void Configuration::Set(std::string_view name, std::string_view value) {
     std::lock_guard<std::mutex> lock(mutex_);
     properties_[std::string(name)] = std::string(value);
   }
-  ConfAgent::Current().InterceptSet(id_, std::string(name), std::string(value));
+  ConfAgent::Current().InterceptSet(id_, name, value);
 }
 
 void Configuration::SetBool(std::string_view name, bool value) {

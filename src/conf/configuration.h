@@ -47,7 +47,8 @@ class Configuration {
   std::string Get(std::string_view name, std::string_view default_value = "") const;
 
   // Typed getters parse the (possibly overridden) string value; malformed
-  // values fall back to the default, like Hadoop's Configuration.
+  // values fall back to the default, like Hadoop's Configuration. Each
+  // returns exactly what parsing Get(name, <default as text>) would.
   bool GetBool(std::string_view name, bool default_value) const;
   int64_t GetInt(std::string_view name, int64_t default_value) const;
   double GetDouble(std::string_view name, double default_value) const;
@@ -77,7 +78,11 @@ class Configuration {
   struct RefCloneTag {};
   Configuration(RefCloneTag, const Configuration& source);
 
-  std::string GetStored(std::string_view name, std::string_view default_value) const;
+  // Typed-getter core: the value Get() would serve, parsed without a copy;
+  // `absent()` supplies the result for a key neither the plan nor this
+  // object holds.
+  template <typename T, typename Parse, typename Absent>
+  T GetParsed(std::string_view name, T default_value, Parse parse, Absent absent) const;
 
   uint64_t id_ = 0;
   // The agent this object registered with at construction (the creating

@@ -12,7 +12,7 @@ namespace {
 // entity names, parameter names, or schema values, so joining is injective.
 constexpr char kTraceJoin = '\x1e';
 
-std::string FormatObservation(const char* prefix, const std::string& entity,
+std::string FormatObservation(const char* prefix, std::string_view entity,
                               int node_index, std::string_view param,
                               const std::string* assigned) {
   std::string element = prefix;
@@ -32,12 +32,12 @@ std::string FormatObservation(const char* prefix, const std::string& entity,
 
 }  // namespace
 
-std::string TraceReadElement(const std::string& entity, int node_index,
+std::string TraceReadElement(std::string_view entity, int node_index,
                              std::string_view param, const std::string* assigned) {
   return FormatObservation("", entity, node_index, param, assigned);
 }
 
-std::string TraceHasElement(const std::string& entity, int node_index,
+std::string TraceHasElement(std::string_view entity, int node_index,
                             std::string_view param, const std::string* assigned) {
   return FormatObservation("@h:", entity, node_index, param, assigned);
 }
@@ -108,15 +108,12 @@ bool PlanMatchesElement(const TestPlan& plan, std::string_view element) {
   if (parsed.kind == ParsedElement::Kind::kUncertain) {
     return true;  // uncertain confs never receive overrides: plan-invariant
   }
-  const std::string entity(parsed.entity);
-  std::optional<std::string> assigned =
-      plan.Lookup(parsed.param, entity, parsed.node_index);
+  const std::string* assigned =
+      plan.Lookup(parsed.param, parsed.entity, parsed.node_index);
   std::string expected =
       parsed.kind == ParsedElement::Kind::kHas
-          ? TraceHasElement(entity, parsed.node_index, parsed.param,
-                            assigned.has_value() ? &*assigned : nullptr)
-          : TraceReadElement(entity, parsed.node_index, parsed.param,
-                             assigned.has_value() ? &*assigned : nullptr);
+          ? TraceHasElement(parsed.entity, parsed.node_index, parsed.param, assigned)
+          : TraceReadElement(parsed.entity, parsed.node_index, parsed.param, assigned);
   return expected == element;
 }
 
@@ -274,20 +271,18 @@ bool ReadSurface::PredictTrace(const TestPlan& plan, std::string* trace) const {
         elements.push_back(TraceUncertainElement(obs.param));
         break;
       case Observation::Kind::kRead: {
-        std::optional<std::string> assigned =
-            plan.Lookup(obs.param, obs.entity, obs.node_index);
-        elements.push_back(TraceReadElement(obs.entity, obs.node_index, obs.param,
-                                            assigned ? &*assigned : nullptr));
+        elements.push_back(
+            TraceReadElement(obs.entity, obs.node_index, obs.param,
+                             plan.Lookup(obs.param, obs.entity, obs.node_index)));
         break;
       }
       case Observation::Kind::kHas: {
         // Has() ignores overrides, but the trace is poisoned with the plan's
         // assignment so a plan targeting a presence-checked parameter never
         // aliases one that assigns it differently (conservative by design).
-        std::optional<std::string> assigned =
-            plan.Lookup(obs.param, obs.entity, obs.node_index);
-        elements.push_back(TraceHasElement(obs.entity, obs.node_index, obs.param,
-                                           assigned ? &*assigned : nullptr));
+        elements.push_back(
+            TraceHasElement(obs.entity, obs.node_index, obs.param,
+                            plan.Lookup(obs.param, obs.entity, obs.node_index)));
         break;
       }
     }

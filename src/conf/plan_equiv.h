@@ -61,13 +61,13 @@ struct SessionReport;
 
 // An intercepted value read: "E#i:p=v" when the plan served `assigned`,
 // "E#i:p!" when the stored value was served.
-std::string TraceReadElement(const std::string& entity, int node_index,
+std::string TraceReadElement(std::string_view entity, int node_index,
                              std::string_view param, const std::string* assigned);
 
 // A Has() presence check, same shape under the "@h:" prefix. Recorded with
 // the value the active plan assigns so plans that target a presence-checked
 // parameter never alias plans that assign it differently.
-std::string TraceHasElement(const std::string& entity, int node_index,
+std::string TraceHasElement(std::string_view entity, int node_index,
                             std::string_view param, const std::string* assigned);
 
 // A read through an unmappable conf: "@u:p" (never overridden, plan-invariant).

@@ -18,7 +18,8 @@ const char* AssignStrategyName(AssignStrategy strategy) {
   return "unknown";
 }
 
-std::string ValueAssigner::ValueFor(const std::string& node_type, int node_index) const {
+const std::string& ValueAssigner::ValueFor(std::string_view node_type,
+                                          int node_index) const {
   switch (strategy) {
     case AssignStrategy::kHomogeneous:
       return group_value;
@@ -119,20 +120,20 @@ std::vector<ParamPlan>& TestPlan::mutable_params() {
   return params_;
 }
 
-std::optional<std::string> TestPlan::Lookup(std::string_view param,
-                                            const std::string& node_type,
-                                            int node_index) const {
+const std::string* TestPlan::Lookup(std::string_view param,
+                                    std::string_view node_type,
+                                    int node_index) const {
   for (const ParamPlan& plan : params_) {
     if (plan.param == param) {
-      return plan.assigner.ValueFor(node_type, node_index);
+      return &plan.assigner.ValueFor(node_type, node_index);
     }
     for (const auto& [extra_param, extra_value] : plan.extra_overrides) {
       if (extra_param == param) {
-        return extra_value;
+        return &extra_value;
       }
     }
   }
-  return std::nullopt;
+  return nullptr;
 }
 
 std::string ParamPlan::Fingerprint() const {

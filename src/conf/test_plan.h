@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,7 +42,8 @@ struct ValueAssigner {
   std::string group_value;  // value for the group (or the whole system)
   std::string other_value;  // value for everyone else
 
-  std::string ValueFor(const std::string& node_type, int node_index) const;
+  // Returns a reference to group_value or other_value.
+  const std::string& ValueFor(std::string_view node_type, int node_index) const;
 
   // The distinct values this assigner can hand out; the TestRunner runs one
   // homogeneous control per distinct value (Definition 3.1).
@@ -101,9 +101,11 @@ class TestPlan {
   void Add(ParamPlan plan);
   std::vector<ParamPlan>& mutable_params();
 
-  // Value the given entity should observe for `param`, if the plan covers it.
-  std::optional<std::string> Lookup(std::string_view param,
-                                    const std::string& node_type, int node_index) const;
+  // Value the given entity should observe for `param`, or nullptr if the plan
+  // does not cover it. Points into this plan (no copy — ConfAgent serves it on
+  // every overridden read); valid until the plan is mutated or destroyed.
+  const std::string* Lookup(std::string_view param, std::string_view node_type,
+                            int node_index) const;
 
   bool empty() const { return params_.empty(); }
   std::string Describe() const;

@@ -216,7 +216,7 @@ void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance
       plan.Add(instance.plan);
     }
     ++unit->executed_runs;
-    if (!RunUnitTestShared(test, plan, /*trial=*/0)->passed) {
+    if (!RunUnitTestVerdict(test, plan, /*trial=*/0).passed) {
       BisectPool(test, *side, unit, confirmed_in_test);
     }
   }
@@ -247,9 +247,8 @@ void Campaign::RunCouplingForTest(const UnitTestDef& test,
     }
 
     ++unit->coupling_runs;
-    std::shared_ptr<const TestResult> hetero =
-        RunUnitTestShared(test, pair.plan, /*trial=*/0);
-    if (hetero->passed) {
+    const RunVerdict hetero = RunUnitTestVerdict(test, pair.plan, /*trial=*/0);
+    if (hetero.passed) {
       continue;
     }
 
@@ -260,7 +259,7 @@ void Campaign::RunCouplingForTest(const UnitTestDef& test,
       TestPlan solo;
       solo.Add(member);
       ++unit->coupling_runs;
-      if (!RunUnitTestShared(test, solo, /*trial=*/0)->passed) {
+      if (!RunUnitTestVerdict(test, solo, /*trial=*/0).passed) {
         member_fails_alone = true;
         break;
       }
@@ -281,7 +280,7 @@ void Campaign::RunCouplingForTest(const UnitTestDef& test,
         homo.Add(std::move(control));
       }
       ++unit->coupling_runs;
-      controls_pass = RunUnitTestShared(test, homo, /*trial=*/0)->passed;
+      controls_pass = RunUnitTestVerdict(test, homo, /*trial=*/0).passed;
     }
     if (!controls_pass) {
       continue;
@@ -292,7 +291,7 @@ void Campaign::RunCouplingForTest(const UnitTestDef& test,
       ++unit->coupling_confirmations;
       unit->confirmations.push_back(UnitConfirmation{
           param, options_.significance,
-          "coupled failure: " + hetero->failure});
+          "coupled failure: " + hetero.failure});
     }
   }
 }
@@ -350,7 +349,7 @@ void Campaign::RunPooledForTest(
       plan.Add(instance.plan);
     }
     ++unit->executed_runs;
-    if (RunUnitTestShared(test, plan, /*trial=*/0)->passed) {
+    if (RunUnitTestVerdict(test, plan, /*trial=*/0).passed) {
       continue;  // every pooled parameter assumed safe for this instance
     }
     BisectPool(test, std::move(pool), unit, &confirmed_in_test);

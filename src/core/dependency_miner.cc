@@ -26,6 +26,7 @@ std::vector<MinedRule> DependencyMiner::MineParam(const std::string& app,
 
     std::set<std::string>& reads = reads_by_value[value];
     for (const UnitTestDef* test : corpus_.ForApp(app)) {
+      // Mining consumes the read sets: the full-report entry point.
       std::shared_ptr<const TestResult> result =
           RunUnitTestShared(*test, plan, /*trial=*/0);
       if (executions != nullptr) {

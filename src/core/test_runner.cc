@@ -41,7 +41,7 @@ Verdict TestRunner::Verify(const GeneratedInstance& instance,
 
   auto run = [&](const TestPlan& plan, uint64_t trial) {
     ++*executions;
-    return RunUnitTestShared(*instance.test, plan, trial);
+    return RunUnitTestVerdict(*instance.test, plan, trial);
   };
 
   // First trial(s): heterogeneous runs. With first_trials_ > 1 a
@@ -49,13 +49,12 @@ Verdict TestRunner::Verify(const GeneratedInstance& instance,
   // (the §5 false-negative mitigation).
   bool hetero_failed_once = false;
   for (int attempt = 0; attempt < first_trials_; ++attempt) {
-    std::shared_ptr<const TestResult> hetero =
-        run(hetero_plan, static_cast<uint64_t>(attempt));
+    const RunVerdict hetero = run(hetero_plan, static_cast<uint64_t>(attempt));
     ++verdict.hetero_trials;
-    if (!hetero->passed) {
+    if (!hetero.passed) {
       hetero_failed_once = true;
       ++verdict.hetero_failures;
-      verdict.witness_failure = hetero->failure;
+      verdict.witness_failure = hetero.failure;
       break;
     }
   }
@@ -66,9 +65,9 @@ Verdict TestRunner::Verify(const GeneratedInstance& instance,
   // First trial: every corresponding homogeneous configuration must pass,
   // otherwise the failure cannot be attributed to heterogeneity.
   for (const TestPlan& homo_plan : homo_plans) {
-    std::shared_ptr<const TestResult> homo = run(homo_plan, 0);
+    const RunVerdict homo = run(homo_plan, 0);
     ++verdict.homo_trials;
-    if (!homo->passed) {
+    if (!homo.passed) {
       ++verdict.homo_failures;
       return verdict;  // kNotCandidate
     }
@@ -80,18 +79,18 @@ Verdict TestRunner::Verify(const GeneratedInstance& instance,
     // Trial numbers continue past the first-trial attempts so every run rolls
     // fresh nondeterminism.
     uint64_t trial = static_cast<uint64_t>(first_trials_ + round);
-    std::shared_ptr<const TestResult> extra_hetero = run(hetero_plan, trial);
+    const RunVerdict extra_hetero = run(hetero_plan, trial);
     ++verdict.hetero_trials;
-    if (!extra_hetero->passed) {
+    if (!extra_hetero.passed) {
       ++verdict.hetero_failures;
       if (verdict.witness_failure.empty()) {
-        verdict.witness_failure = extra_hetero->failure;
+        verdict.witness_failure = extra_hetero.failure;
       }
     }
     for (const TestPlan& homo_plan : homo_plans) {
-      std::shared_ptr<const TestResult> extra_homo = run(homo_plan, trial);
+      const RunVerdict extra_homo = run(homo_plan, trial);
       ++verdict.homo_trials;
-      if (!extra_homo->passed) {
+      if (!extra_homo.passed) {
         ++verdict.homo_failures;
       }
     }

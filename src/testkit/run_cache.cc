@@ -44,34 +44,6 @@ std::string UnescapeLine(const std::string& text) {
   return out;
 }
 
-// SessionReport round-trip. Warm-started cache entries feed TestGenerator's
-// pre-run consumption, so every field must survive. The blob is a small
-// tag-prefixed line format; entities and parameter names never contain
-// spaces, values (the tail of each line) may.
-std::string SerializeSessionReport(const SessionReport& report) {
-  std::ostringstream out;
-  for (const auto& [type, count] : report.node_counts) {
-    out << "node " << count << ' ' << type << '\n';
-  }
-  for (const auto& [entity, params] : report.reads) {
-    for (const std::string& param : params) {
-      out << "read " << entity << ' ' << param << '\n';
-    }
-  }
-  for (const std::string& param : report.uncertain_params) {
-    out << "uncertain " << param << '\n';
-  }
-  for (const std::string& element : report.trace_elements) {
-    out << "trace " << element << '\n';
-  }
-  out << "counters " << report.conf_objects_created << ' ' << report.clones << ' '
-      << report.ref_to_clones << ' ' << report.uncertain_conf_count << ' '
-      << report.override_hits << '\n';
-  out << "flags " << (report.conf_sharing_detected ? 1 : 0) << ' '
-      << (report.any_conf_usage ? 1 : 0) << '\n';
-  return out.str();
-}
-
 bool DeserializeSessionReport(const std::string& blob, SessionReport* report) {
   std::istringstream in(blob);
   std::string line;
@@ -144,6 +116,34 @@ constexpr std::string_view kCanonicalTag = "C\x1f";
 constexpr std::string_view kTraceTag = "T\x1f";
 
 }  // namespace
+
+// SessionReport round-trip. Warm-started cache entries feed TestGenerator's
+// pre-run consumption, so every field must survive. The blob is a small
+// tag-prefixed line format; entities and parameter names never contain
+// spaces, values (the tail of each line) may.
+std::string SerializeSessionReport(const SessionReport& report) {
+  std::ostringstream out;
+  for (const auto& [type, count] : report.node_counts) {
+    out << "node " << count << ' ' << type << '\n';
+  }
+  for (const auto& [entity, params] : report.reads) {
+    for (const std::string& param : params) {
+      out << "read " << entity << ' ' << param << '\n';
+    }
+  }
+  for (const std::string& param : report.uncertain_params) {
+    out << "uncertain " << param << '\n';
+  }
+  for (const std::string& element : report.trace_elements) {
+    out << "trace " << element << '\n';
+  }
+  out << "counters " << report.conf_objects_created << ' ' << report.clones << ' '
+      << report.ref_to_clones << ' ' << report.uncertain_conf_count << ' '
+      << report.override_hits << '\n';
+  out << "flags " << (report.conf_sharing_detected ? 1 : 0) << ' '
+      << (report.any_conf_usage ? 1 : 0) << '\n';
+  return out.str();
+}
 
 void SetGlobalRunCache(RunCache* cache) { g_run_cache = cache; }
 

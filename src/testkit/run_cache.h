@@ -333,6 +333,11 @@ class RunCache {
   mutable std::mutex mutex_;
 };
 
+// The text form a persisted cache entry stores its SessionReport in: every
+// field, in a canonical order, so two reports serialize identically exactly
+// when they are equal.
+std::string SerializeSessionReport(const SessionReport& report);
+
 // Ambient cache consulted by RunUnitTest; nullptr disables memoization (the
 // default). The installed pointer is thread-local, so each worker thread
 // chooses its own cache — which may be the same shared RunCache object on

@@ -6,6 +6,7 @@
 #include <chrono>
 
 #include "src/common/logging.h"
+#include "src/common/rng.h"
 #include "src/conf/plan_equiv.h"
 #include "src/testkit/run_cache.h"
 
@@ -32,6 +33,42 @@ void SetSyntheticRunLatencyUs(int64_t micros) {
 int64_t SyntheticRunLatencyUs() {
   return g_synthetic_run_latency_us.load(std::memory_order_relaxed);
 }
+
+namespace {
+
+// One real execution: the synthetic latency, the body under a `mode`
+// session, and the duration sample. Fills passed/failure/report and returns
+// whether the body drew from its trial-seeded RNG.
+bool Execute(const UnitTestDef& test, const TestPlan& plan, uint64_t trial,
+             SessionMode mode, TestResult* result) {
+  auto start = std::chrono::steady_clock::now();
+  if (int64_t latency_us = SyntheticRunLatencyUs(); latency_us > 0) {
+    ::usleep(static_cast<useconds_t>(latency_us));
+  }
+  // Fold the plan into the trial seed: in a real system, nondeterminism is
+  // independent across runs with different configurations; re-running the
+  // same (test, plan, trial) triple stays reproducible.
+  uint64_t effective_trial = HashCombine(trial, plan.DescribeSeed());
+  ConfAgentSession session(&plan, mode);
+  TestContext context(test.id, effective_trial);
+  try {
+    test.body(context);
+    result->passed = true;
+  } catch (const std::exception& e) {
+    result->passed = false;
+    result->failure = e.what();
+    ZLOG_DEBUG << test.id << " failed: " << result->failure;
+  }
+  result->report = session.End();
+  if (g_duration_collector != nullptr) {
+    g_duration_collector->push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count());
+  }
+  return context.TrialSensitive();
+}
+
+}  // namespace
 
 std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
                                                     const TestPlan& plan,
@@ -68,40 +105,31 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
     }
   }
 
-  auto start = std::chrono::steady_clock::now();
-  if (int64_t latency_us = SyntheticRunLatencyUs(); latency_us > 0) {
-    ::usleep(static_cast<useconds_t>(latency_us));
-  }
   auto result = std::make_shared<TestResult>();
-  // Fold the plan into the trial seed: in a real system, nondeterminism is
-  // independent across runs with different configurations; re-running the
-  // same (test, plan, trial) triple stays reproducible.
-  uint64_t effective_trial = HashCombine(trial, plan.DescribeSeed());
-  ConfAgentSession session(&plan);
-  TestContext context(test.id, effective_trial);
-  try {
-    test.body(context);
-    result->passed = true;
-  } catch (const std::exception& e) {
-    result->passed = false;
-    result->failure = e.what();
-    ZLOG_DEBUG << test.id << " failed: " << e.what();
-  }
-  result->report = session.End();
-  if (g_duration_collector != nullptr) {
-    g_duration_collector->push_back(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-  }
+  const bool trial_sensitive =
+      Execute(test, plan, trial, SessionMode::kRecord, result.get());
   if (cache != nullptr) {
     const std::string observed_trace = ObservedTraceText(result->report);
     // The cache shares this exact payload across its key aliases — the
     // insert allocates no TestResult copy.
     cache->Insert(test.id, plan_fp, trial,
-                  /*trial_insensitive=*/!context.TrialSensitive(), result,
+                  /*trial_insensitive=*/!trial_sensitive, result,
                   equiv_query, &observed_trace);
   }
   return result;
+}
+
+RunVerdict RunUnitTestVerdict(const UnitTestDef& test, const TestPlan& plan,
+                              uint64_t trial) {
+  if (GlobalRunCache() != nullptr) {
+    // The cache stores (and may persist) what this execution records, so it
+    // must record everything.
+    std::shared_ptr<const TestResult> result = RunUnitTestShared(test, plan, trial);
+    return RunVerdict{result->passed, result->failure};
+  }
+  TestResult result;
+  Execute(test, plan, trial, SessionMode::kVerdict, &result);
+  return RunVerdict{result.passed, std::move(result.failure)};
 }
 
 TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t trial) {

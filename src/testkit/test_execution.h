@@ -2,6 +2,14 @@
 // given test plan, converting assertion failures and application errors into
 // a TestResult (the atomic operation everything in the ZebraConf pipeline is
 // built from).
+//
+// Two entry points, split by what the caller consumes:
+//   RunUnitTest / RunUnitTestShared — the full TestResult, SessionReport
+//     included. The pre-run (test generation reads its per-entity read sets)
+//     and dependency mining use these.
+//   RunUnitTestVerdict — pass/fail and the failure message only. The
+//     dynamic-phase verdicts (pooling, bisection, coupling, TestRunner) use
+//     this; without a run cache the session skips per-read recording.
 
 #ifndef SRC_TESTKIT_TEST_EXECUTION_H_
 #define SRC_TESTKIT_TEST_EXECUTION_H_
@@ -34,10 +42,24 @@ TestResult RunUnitTest(const UnitTestDef& test, const TestPlan& plan, uint64_t t
 // refcount bump (no TestResult deep copy), and a real execution's result is
 // inserted into the cache and returned through the same shared payload. The
 // pointee is immutable and safe to share across threads; it is never null.
-// Campaign hot paths that only inspect `passed`/`failure` use this.
+// Always records the full report.
 std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
                                                     const TestPlan& plan,
                                                     uint64_t trial);
+
+// What a verdict consumer sees of one execution.
+struct RunVerdict {
+  bool passed = false;
+  std::string failure;  // first failure message (empty when passed)
+};
+
+// Runs `test` with `plan` like RunUnitTestShared and returns only the
+// verdict, which is identical to RunUnitTestShared's passed/failure. With no
+// run cache installed the execution runs a SessionMode::kVerdict session (no
+// reads/uncertain_params/trace_elements recording). With a cache installed it
+// takes the full path, so every cached payload carries a complete report.
+RunVerdict RunUnitTestVerdict(const UnitTestDef& test, const TestPlan& plan,
+                              uint64_t trial);
 
 // Installs a collector that receives the wall-clock duration (seconds) of
 // every subsequent *real* RunUnitTest execution (run-cache hits execute

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "src/conf/conf_agent.h"
 
 namespace zebra {
@@ -47,6 +50,41 @@ TEST(ConfigurationTest, MalformedValueFallsBackToDefault) {
   conf.Set("bool", "maybe");
   EXPECT_EQ(conf.GetInt("int", 13), 13);
   EXPECT_FALSE(conf.GetBool("bool", false));
+}
+
+TEST(ConfigurationTest, TypedGettersMatchParsingGet) {
+  // Each typed getter returns exactly what parsing Get(name, <default as
+  // text>) returns. For doubles the default's text is "%g", which does not
+  // round-trip, so an absent key serves the default rounded to 6 digits.
+  Configuration conf;
+  EXPECT_DOUBLE_EQ(conf.GetDouble("absent", 0.1234567), 0.123457);
+  EXPECT_DOUBLE_EQ(conf.GetDouble("absent", 1234567.0), 1.23457e6);
+  EXPECT_EQ(conf.GetInt("absent", INT64_MIN), INT64_MIN);
+  EXPECT_FALSE(conf.GetBool("absent", false));
+  conf.Set("double", "garbage");
+  EXPECT_DOUBLE_EQ(conf.GetDouble("double", 0.1234567), 0.1234567)
+      << "a malformed stored value falls back to the unrounded default";
+}
+
+TEST(ConfigurationTest, TypedGettersParsePlanValues) {
+  TestPlan plan;
+  for (const auto& [name, value] :
+       {std::pair<const char*, const char*>{"i", "-17"}, {"b", "true"},
+        {"d", "2.5"}, {"bad", "oops"}}) {
+    ParamPlan param;
+    param.param = name;
+    param.assigner = ValueAssigner::Homogeneous(value);
+    plan.Add(param);
+  }
+  ConfAgentSession session(plan);
+  Configuration conf;
+  conf.SetInt("i", 3);
+  EXPECT_EQ(conf.GetInt("i", 0), -17);
+  EXPECT_TRUE(conf.GetBool("b", false));
+  EXPECT_DOUBLE_EQ(conf.GetDouble("d", 0.0), 2.5);
+  EXPECT_EQ(conf.GetInt("bad", 9), 9) << "a malformed planned value falls back";
+  EXPECT_DOUBLE_EQ(conf.GetDouble("bad", 0.1234567), 0.1234567);
+  EXPECT_EQ(session.End().override_hits, 5);
 }
 
 TEST(ConfigurationTest, CloneCopiesProperties) {

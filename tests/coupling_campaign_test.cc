@@ -55,7 +55,7 @@ TEST(CouplingCampaign, GenerateCoupledIsCappedAndDeterministic) {
       FullSchema(), FullCorpus(),
       GeneratorOptions{true, true, &Prior(), true, 4});
   bool saw_coupled = false;
-  for (const std::string& app : {"minidfs", "minikv"}) {
+  for (const char* app : {"minidfs", "minikv"}) {
     for (const PreRunRecord& record : generator.PreRunApp(app, nullptr)) {
       int64_t before = 0;
       auto instances = generator.Generate(record, &before);

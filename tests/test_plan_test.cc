@@ -4,8 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 namespace zebra {
 namespace {
+
+// The looked-up value, or nullopt when the plan does not cover the param.
+std::optional<std::string> LookupValue(const TestPlan& plan, std::string_view param,
+                                       std::string_view node_type, int node_index) {
+  const std::string* value = plan.Lookup(param, node_type, node_index);
+  return value != nullptr ? std::optional<std::string>(*value) : std::nullopt;
+}
 
 TEST(ValueAssignerTest, HomogeneousGivesEveryoneTheSameValue) {
   ValueAssigner assigner = ValueAssigner::Homogeneous("v");
@@ -45,10 +54,15 @@ TEST(TestPlanTest, LookupFindsParamAndOverrides) {
   p.extra_overrides.emplace_back("dep", "d");
   plan.Add(p);
 
-  EXPECT_EQ(plan.Lookup("main", "NameNode", 0), "1");
-  EXPECT_EQ(plan.Lookup("main", "DataNode", 0), "2");
-  EXPECT_EQ(plan.Lookup("dep", "DataNode", 0), "d");
-  EXPECT_EQ(plan.Lookup("absent", "DataNode", 0), std::nullopt);
+  EXPECT_EQ(LookupValue(plan, "main", "NameNode", 0), "1");
+  EXPECT_EQ(LookupValue(plan, "main", "DataNode", 0), "2");
+  EXPECT_EQ(LookupValue(plan, "dep", "DataNode", 0), "d");
+  EXPECT_EQ(LookupValue(plan, "absent", "DataNode", 0), std::nullopt);
+  // Lookup hands back the plan's own strings, not copies.
+  EXPECT_EQ(plan.Lookup("main", "NameNode", 0),
+            &plan.params()[0].assigner.group_value);
+  EXPECT_EQ(plan.Lookup("dep", "DataNode", 0),
+            &plan.params()[0].extra_overrides[0].second);
 }
 
 TEST(TestPlanTest, PooledPlanCoversAllParams) {
@@ -59,8 +73,8 @@ TEST(TestPlanTest, PooledPlanCoversAllParams) {
     p.assigner = ValueAssigner::Homogeneous(std::to_string(i));
     plan.Add(p);
   }
-  EXPECT_EQ(plan.Lookup("p0", "X", 0), "0");
-  EXPECT_EQ(plan.Lookup("p2", "X", 0), "2");
+  EXPECT_EQ(LookupValue(plan, "p0", "X", 0), "0");
+  EXPECT_EQ(LookupValue(plan, "p2", "X", 0), "2");
   EXPECT_FALSE(plan.empty());
 }
 
