@@ -118,8 +118,8 @@ class TestPlan {
   const std::string& Fingerprint() const;
 
   // Fnv1a64(Describe()), bit-for-bit — the value RunUnitTest folds into the
-  // per-trial RNG seed. Memoized so steady-state executions skip rebuilding
-  // the describe string entirely.
+  // per-trial RNG seed. Folded piece by piece over the same bytes Describe()
+  // renders, so no describe string is ever built; memoized on top.
   uint64_t DescribeSeed() const;
 
  private:

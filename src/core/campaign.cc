@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <random>
 
 #include "src/common/logging.h"
@@ -30,6 +31,17 @@ class ScopedDurationCollector {
   ScopedDurationCollector(const ScopedDurationCollector&) = delete;
   ScopedDurationCollector& operator=(const ScopedDurationCollector&) = delete;
 };
+
+// The pooled plan testing every instance of `pool` at once, built in one
+// allocation.
+TestPlan PooledPlan(std::span<const GeneratedInstance* const> pool) {
+  std::vector<ParamPlan> params;
+  params.reserve(pool.size());
+  for (const GeneratedInstance* instance : pool) {
+    params.push_back(instance->plan);
+  }
+  return TestPlan(std::move(params));
+}
 
 }  // namespace
 
@@ -197,27 +209,21 @@ bool Campaign::VerifyInstance(const GeneratedInstance& instance, UnitWorkResult*
   return true;
 }
 
-void Campaign::BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance> pool,
+void Campaign::BisectPool(const UnitTestDef& test, InstancePool pool,
                           UnitWorkResult* unit,
                           std::set<std::string>* confirmed_in_test) const {
   if (pool.empty()) {
     return;
   }
   if (pool.size() == 1) {
-    VerifyInstance(pool.front(), unit, confirmed_in_test);
+    VerifyInstance(*pool.front(), unit, confirmed_in_test);
     return;
   }
   size_t half = pool.size() / 2;
-  std::vector<GeneratedInstance> left(pool.begin(), pool.begin() + half);
-  std::vector<GeneratedInstance> right(pool.begin() + half, pool.end());
-  for (auto* side : {&left, &right}) {
-    TestPlan plan;
-    for (const GeneratedInstance& instance : *side) {
-      plan.Add(instance.plan);
-    }
+  for (InstancePool side : {pool.first(half), pool.subspan(half)}) {
     ++unit->executed_runs;
-    if (!RunUnitTestVerdict(test, plan, /*trial=*/0).passed) {
-      BisectPool(test, *side, unit, confirmed_in_test);
+    if (!RunUnitTestVerdict(test, PooledPlan(side), /*trial=*/0).passed) {
+      BisectPool(test, side, unit, confirmed_in_test);
     }
   }
 }
@@ -296,20 +302,34 @@ void Campaign::RunCouplingForTest(const UnitTestDef& test,
   }
 }
 
-std::vector<std::string> Campaign::ParamOrder(
-    const std::map<std::string, std::vector<GeneratedInstance>>& by_param) const {
-  std::vector<std::string> order;
-  order.reserve(by_param.size());
-  for (const auto& [param, instances] : by_param) {
-    order.push_back(param);
+std::vector<const Campaign::ParamInstances*> Campaign::ParamOrder(
+    const InstancesByParam& by_param) const {
+  // Sort keys carry the priority inline. Map iteration is name-sorted, so a
+  // stable sort on priority keeps name order within each band — and when
+  // every priority is equal (no static prior) it is the identity and skipped.
+  struct Key {
+    double priority;
+    const ParamInstances* group;
+  };
+  std::vector<Key> keys;
+  keys.reserve(by_param.size());
+  bool uniform_priority = true;
+  for (const ParamInstances& group : by_param) {
+    double priority = group.second.front()->plan.static_priority;
+    uniform_priority =
+        uniform_priority && (keys.empty() || priority == keys.front().priority);
+    keys.push_back(Key{priority, &group});
   }
-  // Map iteration is name-sorted; a stable sort on priority keeps name order
-  // within each band.
-  std::stable_sort(order.begin(), order.end(),
-                   [&](const std::string& a, const std::string& b) {
-                     return by_param.at(a).front().plan.static_priority >
-                            by_param.at(b).front().plan.static_priority;
-                   });
+  if (!uniform_priority) {
+    std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+      return a.priority > b.priority;
+    });
+  }
+  std::vector<const ParamInstances*> order;
+  order.reserve(keys.size());
+  for (const Key& key : keys) {
+    order.push_back(key.group);
+  }
   if (options_.shuffle_order_seed != 0) {
     std::mt19937_64 rng(options_.shuffle_order_seed);
     std::shuffle(order.begin(), order.end(), rng);
@@ -317,26 +337,33 @@ std::vector<std::string> Campaign::ParamOrder(
   return order;
 }
 
-void Campaign::RunPooledForTest(
-    const UnitTestDef& test,
-    std::map<std::string, std::vector<GeneratedInstance>> by_param,
-    const std::set<std::string>& globally_unsafe, UnitWorkResult* unit) const {
+void Campaign::RunPooledForTest(const UnitTestDef& test,
+                                const InstancesByParam& by_param,
+                                const std::set<std::string>& globally_unsafe,
+                                UnitWorkResult* unit) const {
   std::set<std::string> confirmed_in_test;
-  std::vector<std::string> order = ParamOrder(by_param);
+  std::vector<const ParamInstances*> order = ParamOrder(by_param);
+  // The globally-unsafe set is fixed for the whole unit: drop its members
+  // from the visit order once instead of re-checking them every round.
+  std::erase_if(order, [&](const ParamInstances* group) {
+    return globally_unsafe.count(group->second.front()->plan.param) > 0;
+  });
   size_t max_rounds = 0;
-  for (const auto& [param, instances] : by_param) {
-    max_rounds = std::max(max_rounds, instances.size());
+  for (const ParamInstances* group : order) {
+    max_rounds = std::max(max_rounds, group->second.size());
   }
 
+  std::vector<const GeneratedInstance*> pool;
+  pool.reserve(order.size());
   for (size_t round = 0; round < max_rounds; ++round) {
     // Pool the round-th instance of every parameter that still has one and
     // is not already settled. Pool order follows the static prior, so
     // bisection descends into the wire-tainted half first.
-    std::vector<GeneratedInstance> pool;
-    for (const std::string& param : order) {
-      const std::vector<GeneratedInstance>& instances = by_param.at(param);
-      if (round >= instances.size() || globally_unsafe.count(param) > 0 ||
-          confirmed_in_test.count(param) > 0) {
+    pool.clear();
+    for (const ParamInstances* group : order) {
+      const std::vector<const GeneratedInstance*>& instances = group->second;
+      if (round >= instances.size() ||
+          confirmed_in_test.count(instances.front()->plan.param) > 0) {
         continue;
       }
       pool.push_back(instances[round]);
@@ -344,15 +371,11 @@ void Campaign::RunPooledForTest(
     if (pool.empty()) {
       continue;
     }
-    TestPlan plan;
-    for (const GeneratedInstance& instance : pool) {
-      plan.Add(instance.plan);
-    }
     ++unit->executed_runs;
-    if (RunUnitTestVerdict(test, plan, /*trial=*/0).passed) {
+    if (RunUnitTestVerdict(test, PooledPlan(pool), /*trial=*/0).passed) {
       continue;  // every pooled parameter assumed safe for this instance
     }
-    BisectPool(test, std::move(pool), unit, &confirmed_in_test);
+    BisectPool(test, pool, unit, &confirmed_in_test);
   }
 }
 
@@ -402,9 +425,13 @@ UnitWorkResult Campaign::RunUnitDynamic(
   // plan_equiv.h). Installed for this unit only — the surface is the promise
   // of *this* test's pre-run. Works identically in-process and inside a
   // forked scheduler worker (process-global scoped state, like the cache).
-  ReadSurface surface(session);
+  // Built only when the layer is on; otherwise the scope installs nullptr.
+  std::optional<ReadSurface> surface;
+  if (options_.enable_equiv_cache) {
+    surface.emplace(session);
+  }
   ScopedReadSurface scoped_surface(
-      options_.enable_equiv_cache && surface.usable() ? &surface : nullptr);
+      surface.has_value() && surface->usable() ? &*surface : nullptr);
 
   // Coupled plans are derived from the generated instances before they are
   // regrouped below; pairs with a filtered-out member are dropped.
@@ -426,8 +453,8 @@ UnitWorkResult Campaign::RunUnitDynamic(
                      }),
       coupled.end());
 
-  std::map<std::string, std::vector<GeneratedInstance>> by_param;
-  for (GeneratedInstance& instance : instances) {
+  InstancesByParam by_param;
+  for (const GeneratedInstance& instance : instances) {
     const std::string& param = instance.plan.param;
     if (!options_.only_params.empty() && options_.only_params.count(param) == 0) {
       continue;
@@ -435,25 +462,26 @@ UnitWorkResult Campaign::RunUnitDynamic(
     if (options_.exclude_params.count(param) > 0) {
       continue;
     }
-    by_param[param].push_back(std::move(instance));
+    by_param[param].push_back(&instance);
   }
+  unit.params_tested.reserve(by_param.size());
   for (const auto& [param, param_instances] : by_param) {
-    unit.params_tested.push_back(param);
+    unit.params_tested.emplace_back(param);
   }
 
   if (options_.enable_pooling) {
-    RunPooledForTest(*record.test, std::move(by_param), globally_unsafe, &unit);
+    RunPooledForTest(*record.test, by_param, globally_unsafe, &unit);
   } else {
     // Ablation: verify every instance individually (stop per parameter once
     // confirmed in this test).
     std::set<std::string> confirmed_in_test;
-    for (const std::string& param : ParamOrder(by_param)) {
-      const std::vector<GeneratedInstance>& param_instances = by_param.at(param);
-      for (const GeneratedInstance& instance : param_instances) {
+    for (const ParamInstances* group : ParamOrder(by_param)) {
+      const std::string& param = group->second.front()->plan.param;
+      for (const GeneratedInstance* instance : group->second) {
         if (globally_unsafe.count(param) > 0 || confirmed_in_test.count(param) > 0) {
           break;
         }
-        VerifyInstance(instance, &unit, &confirmed_in_test);
+        VerifyInstance(*instance, &unit, &confirmed_in_test);
       }
     }
   }

@@ -27,7 +27,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/test_generator.h"
@@ -401,6 +403,14 @@ class Campaign {
   }
 
  private:
+  // A unit's instances grouped by parameter, in name order. Keys view the
+  // parameter names and values point into the vector Generate returned, so
+  // grouping, pooling, and bisection never copy an instance.
+  using InstancesByParam =
+      std::map<std::string_view, std::vector<const GeneratedInstance*>>;
+  using ParamInstances = InstancesByParam::value_type;
+  using InstancePool = std::span<const GeneratedInstance* const>;
+
   // Per-test dynamic phase over one pre-run record. Fills everything in the
   // result except prerun_executions, run_durations, and cache counters
   // (owned by the callers, who know what else ran).
@@ -408,14 +418,13 @@ class Campaign {
                                 const std::set<std::string>& globally_unsafe) const;
 
   // Per-test pooled phase over this test's instances, grouped by parameter.
-  void RunPooledForTest(const UnitTestDef& test,
-                        std::map<std::string, std::vector<GeneratedInstance>> by_param,
+  void RunPooledForTest(const UnitTestDef& test, const InstancesByParam& by_param,
                         const std::set<std::string>& globally_unsafe,
                         UnitWorkResult* unit) const;
 
   // Recursive bisection of a failing pool (one instance per parameter).
-  void BisectPool(const UnitTestDef& test, std::vector<GeneratedInstance> pool,
-                  UnitWorkResult* unit, std::set<std::string>* confirmed_in_test) const;
+  void BisectPool(const UnitTestDef& test, InstancePool pool, UnitWorkResult* unit,
+                  std::set<std::string>* confirmed_in_test) const;
 
   // Coupling add-on: runs each pairwise coupled plan once; a failing pair
   // whose members pass alone and whose homogeneous controls pass confirms
@@ -434,8 +443,7 @@ class Campaign {
   // Parameter visit order for one test: descending static priority
   // (wire-tainted first), name for ties; shuffled when the options ask for
   // the unprioritized baseline.
-  std::vector<std::string> ParamOrder(
-      const std::map<std::string, std::vector<GeneratedInstance>>& by_param) const;
+  std::vector<const ParamInstances*> ParamOrder(const InstancesByParam& by_param) const;
 
   const ConfSchema& schema_;
   const UnitTestRegistry& corpus_;

@@ -9,7 +9,47 @@ namespace zebra {
 
 TestGenerator::TestGenerator(const ConfSchema& schema, const UnitTestRegistry& corpus,
                              GeneratorOptions options)
-    : schema_(schema), corpus_(corpus), options_(options) {}
+    : schema_(schema), corpus_(corpus), options_(options) {
+  catalogue_.reserve(schema_.params().size());
+  for (const ParamSpec& spec : schema_.params()) {
+    CatalogueEntry& entry = catalogue_.emplace_back();
+    entry.spec = &spec;
+    if (options_.static_prior != nullptr) {
+      entry.static_priority = options_.static_prior->PriorityOf(spec.name);
+    }
+    for (auto& [v1, v2] : ValuePairs(spec)) {
+      CataloguePair& pair = entry.pairs.emplace_back();
+      for (const std::string* value : {&v1, &v2}) {
+        for (auto& dep : schema_.DependencyOverrides(spec.name, *value)) {
+          if (std::find(pair.overrides.begin(), pair.overrides.end(), dep) ==
+              pair.overrides.end()) {
+            pair.overrides.push_back(std::move(dep));
+          }
+        }
+      }
+      pair.v1 = std::move(v1);
+      pair.v2 = std::move(v2);
+    }
+  }
+  // Every app owning a parameter gets its list; an app owning none sees only
+  // the shared-library parameters, which is the kSharedApp list.
+  for (const std::string& app : schema_.Apps()) {
+    std::vector<size_t>& entries = app_catalogue_[app];
+    for (const ParamSpec* spec : schema_.ParamsForApp(app)) {
+      if (options_.static_prior != nullptr &&
+          options_.static_prior->IsNeverRead(spec->name)) {
+        continue;  // statically pruned before enumeration
+      }
+      entries.push_back(static_cast<size_t>(spec - schema_.params().data()));
+    }
+  }
+  app_catalogue_[kSharedApp];  // present (possibly empty) for the fallback
+}
+
+const std::vector<size_t>& TestGenerator::CatalogueFor(const std::string& app) const {
+  auto it = app_catalogue_.find(app);
+  return it != app_catalogue_.end() ? it->second : app_catalogue_.at(kSharedApp);
+}
 
 std::vector<PreRunRecord> TestGenerator::PreRunApp(const std::string& app,
                                                    int64_t* executions) const {
@@ -40,20 +80,6 @@ std::vector<std::pair<std::string, std::string>> TestGenerator::ValuePairs(
     }
   }
   return pairs;
-}
-
-std::vector<ValueAssigner> TestGenerator::AssignersFor(const std::string& group,
-                                                       int group_count,
-                                                       const std::string& v1,
-                                                       const std::string& v2) const {
-  std::vector<ValueAssigner> assigners;
-  assigners.push_back(ValueAssigner::UniformGroup(group, v1, v2));
-  assigners.push_back(ValueAssigner::UniformGroup(group, v2, v1));
-  if (options_.enable_round_robin && group_count >= 2) {
-    assigners.push_back(ValueAssigner::RoundRobinGroup(group, v1, v2));
-    assigners.push_back(ValueAssigner::RoundRobinGroup(group, v2, v1));
-  }
-  return assigners;
 }
 
 int64_t TestGenerator::OriginalInstanceCount(const std::string& app) const {
@@ -91,20 +117,6 @@ int64_t TestGenerator::StaticPrunedInstanceCount(const std::string& app) const {
   return tests * per_test;
 }
 
-std::vector<std::pair<std::string, std::string>> TestGenerator::OverridesFor(
-    const std::string& param, const std::string& v1, const std::string& v2) const {
-  std::vector<std::pair<std::string, std::string>> merged;
-  std::set<std::string> seen;
-  for (const std::string& value : {v1, v2}) {
-    for (const auto& [dep_param, dep_value] : schema_.DependencyOverrides(param, value)) {
-      if (seen.insert(dep_param + "=" + dep_value).second) {
-        merged.emplace_back(dep_param, dep_value);
-      }
-    }
-  }
-  return merged;
-}
-
 std::vector<GeneratedInstance> TestGenerator::Generate(
     const PreRunRecord& record, int64_t* count_before_uncertainty) const {
   std::vector<GeneratedInstance> instances;
@@ -119,38 +131,43 @@ std::vector<GeneratedInstance> TestGenerator::Generate(
     return instances;
   }
 
-  for (const ParamSpec* spec : schema_.ParamsForApp(record.test->app)) {
-    if (options_.static_prior != nullptr &&
-        options_.static_prior->IsNeverRead(spec->name)) {
-      continue;  // statically pruned before enumeration
-    }
-    bool uncertain = report.uncertain_params.count(spec->name) > 0;
-    auto pairs = ValuePairs(*spec);
+  for (size_t index : CatalogueFor(record.test->app)) {
+    const CatalogueEntry& entry = catalogue_[index];
+    const std::string& param = entry.spec->name;
+    const bool uncertain = report.uncertain_params.count(param) > 0;
     for (const auto& [entity, params_read] : report.reads) {
-      if (options_.prune_unread_instances && params_read.count(spec->name) == 0) {
+      if (options_.prune_unread_instances && params_read.count(param) == 0) {
         continue;
       }
-      int group_count = 1;
+      // Uniform both polarities; round-robin both polarities too when enabled
+      // and the group has at least two nodes.
       auto count_it = report.node_counts.find(entity);
-      if (count_it != report.node_counts.end()) {
-        group_count = count_it->second;
+      const bool round_robin = options_.enable_round_robin &&
+                               count_it != report.node_counts.end() &&
+                               count_it->second >= 2;
+      before_uncertainty +=
+          static_cast<int64_t>(entry.pairs.size()) * (round_robin ? 4 : 2);
+      if (uncertain) {
+        continue;  // excluded: reads through unmappable conf objects
       }
-      for (const auto& [v1, v2] : pairs) {
-        for (ValueAssigner& assigner : AssignersFor(entity, group_count, v1, v2)) {
-          ++before_uncertainty;
-          if (uncertain) {
-            continue;  // excluded: reads through unmappable conf objects
-          }
-          GeneratedInstance instance;
+      for (const CataloguePair& pair : entry.pairs) {
+        auto emit = [&](AssignStrategy strategy, const std::string& group_value,
+                        const std::string& other_value) {
+          GeneratedInstance& instance = instances.emplace_back();
           instance.test = record.test;
-          instance.plan.param = spec->name;
-          instance.plan.assigner = std::move(assigner);
-          instance.plan.extra_overrides = OverridesFor(spec->name, v1, v2);
-          if (options_.static_prior != nullptr) {
-            instance.plan.static_priority =
-                options_.static_prior->PriorityOf(spec->name);
-          }
-          instances.push_back(std::move(instance));
+          instance.plan.param = param;
+          instance.plan.assigner.strategy = strategy;
+          instance.plan.assigner.group_type = entity;
+          instance.plan.assigner.group_value = group_value;
+          instance.plan.assigner.other_value = other_value;
+          instance.plan.extra_overrides = pair.overrides;
+          instance.plan.static_priority = entry.static_priority;
+        };
+        emit(AssignStrategy::kUniformGroup, pair.v1, pair.v2);
+        emit(AssignStrategy::kUniformGroup, pair.v2, pair.v1);
+        if (round_robin) {
+          emit(AssignStrategy::kRoundRobinGroup, pair.v1, pair.v2);
+          emit(AssignStrategy::kRoundRobinGroup, pair.v2, pair.v1);
         }
       }
     }

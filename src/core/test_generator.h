@@ -19,6 +19,7 @@
 #define SRC_CORE_TEST_GENERATOR_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,7 +118,8 @@ class TestGenerator {
   // Instances for one pre-run record. `*count_before_uncertainty` receives
   // the Table 5 row 2 contribution (instances before dropping parameters read
   // through uncertain configuration objects); the returned vector is the
-  // row 3 set.
+  // row 3 set. Instances are copied out of the catalogue the constructor
+  // built; nothing per parameter is recomputed here.
   std::vector<GeneratedInstance> Generate(const PreRunRecord& record,
                                           int64_t* count_before_uncertainty) const;
 
@@ -136,19 +138,31 @@ class TestGenerator {
       const ParamSpec& spec);
 
  private:
-  // Assigners for one (group, pair): uniform both polarities, plus
-  // round-robin both polarities when enabled and the group has at least two
-  // nodes.
-  std::vector<ValueAssigner> AssignersFor(const std::string& group, int group_count,
-                                          const std::string& v1,
-                                          const std::string& v2) const;
+  // One value pair of a catalogued parameter with the merged dependency
+  // overrides of both values (first occurrence wins, v1's rules first).
+  struct CataloguePair {
+    std::string v1;
+    std::string v2;
+    std::vector<std::pair<std::string, std::string>> overrides;
+  };
 
-  std::vector<std::pair<std::string, std::string>> OverridesFor(
-      const std::string& param, const std::string& v1, const std::string& v2) const;
+  // Everything Generate needs about one schema parameter, computed once at
+  // construction so instances are emitted straight from the table.
+  struct CatalogueEntry {
+    const ParamSpec* spec = nullptr;
+    double static_priority = 1.0;
+    std::vector<CataloguePair> pairs;
+  };
+
+  // Indices into catalogue_ of the parameters testable for `app`, in
+  // ParamsForApp order, statically pruned parameters already dropped.
+  const std::vector<size_t>& CatalogueFor(const std::string& app) const;
 
   const ConfSchema& schema_;
   const UnitTestRegistry& corpus_;
   GeneratorOptions options_;
+  std::vector<CatalogueEntry> catalogue_;  // parallel to schema_.params()
+  std::map<std::string, std::vector<size_t>> app_catalogue_;
 };
 
 }  // namespace zebra

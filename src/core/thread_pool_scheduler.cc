@@ -28,6 +28,10 @@ struct WorkUnit {
   const UnitTestDef* test = nullptr;
 };
 
+// An immutable globally-unsafe set as the coordinator published it. Workers
+// and buffered results share one instance instead of copying the set.
+using UnsafeSnapshot = std::shared_ptr<const std::set<std::string>>;
+
 // One pre-sized slot per unit: the lock-free delivery channel. A unit is
 // in flight on at most one worker at a time (the queue hands it out once,
 // and a requeue happens only after the coordinator consumed the previous
@@ -36,9 +40,9 @@ struct WorkUnit {
 // observes `ready` with an acquire load before touching the payload.
 struct ResultSlot {
   UnitWorkResult unit;
-  std::set<std::string> snapshot;  // globally-unsafe set the unit ran under
-  bool failed = false;             // injected fault or escaped exception
-  bool hang = false;               // kHang specifically (hung_workers count)
+  UnsafeSnapshot snapshot;  // globally-unsafe set the unit ran under
+  bool failed = false;      // injected fault or escaped exception
+  bool hang = false;        // kHang specifically (hung_workers count)
   std::atomic<bool> ready{false};
 };
 
@@ -144,11 +148,12 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   std::deque<size_t> queue;
   std::vector<int> attempts(units.size(), 0);
   std::vector<double> not_before(units.size(), 0.0);
-  // Coordinator's current globally-unsafe set, copied out to dispatches.
-  // Updated under queue_mutex after every fold advance, so a worker's
-  // snapshot is always some prefix-fold state — a subset of the exact
-  // sequential set for any unit still queued (the staleness invariant).
-  std::set<std::string> unsafe_copy;
+  // Coordinator's current globally-unsafe set, shared with dispatches by
+  // pointer. Republished under queue_mutex only when a fold advance grew the
+  // set, so a worker's snapshot is always some prefix-fold state — a subset
+  // of the exact sequential set for any unit still queued (the staleness
+  // invariant).
+  UnsafeSnapshot published_unsafe;
   bool stop = false;
 
   for (size_t i = cursor; i < units.size(); ++i) {
@@ -159,7 +164,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   std::vector<ResultSlot> slots(units.size());
   std::mutex results_mutex;
   std::condition_variable results_cv;  // coordinator waits here
-  int ready_count = 0;                 // guarded by results_mutex
+  std::vector<size_t> ready_units;     // guarded by results_mutex
 
   std::atomic<int> alive_workers{worker_count};
 
@@ -179,7 +184,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
     for (;;) {
       size_t unit_index = 0;
       int attempt = 0;
-      std::set<std::string> snapshot;
+      UnsafeSnapshot snapshot;
       {
         std::unique_lock<std::mutex> lock(queue_mutex);
         for (;;) {
@@ -212,7 +217,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           }
         }
         attempt = attempts[unit_index];
-        snapshot = unsafe_copy;
+        snapshot = published_unsafe;
       }
 
       const WorkUnit& work = units[unit_index];
@@ -261,7 +266,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
 
       if (!skip_execution) {
         try {
-          slot.unit = engine.RunUnit(*work.test, snapshot);
+          slot.unit = engine.RunUnit(*work.test, *snapshot);
           slot.snapshot = std::move(snapshot);
         } catch (const std::exception& e) {
           // An exception escaping RunUnit is the in-process analog of a
@@ -277,7 +282,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
       slot.ready.store(true, std::memory_order_release);
       {
         std::lock_guard<std::mutex> lock(results_mutex);
-        ++ready_count;
+        ready_units.push_back(unit_index);
       }
       results_cv.notify_one();
 
@@ -313,7 +318,8 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
 
   {
     std::lock_guard<std::mutex> lock(queue_mutex);
-    unsafe_copy = folder.globally_unsafe();
+    published_unsafe =
+        std::make_shared<const std::set<std::string>>(folder.globally_unsafe());
   }
   threads.reserve(static_cast<size_t>(worker_count));
   if (remaining > 0) {
@@ -326,7 +332,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
 
   struct BufferedResult {
     UnitWorkResult unit;
-    std::set<std::string> snapshot;
+    UnsafeSnapshot snapshot;
   };
   std::map<size_t, BufferedResult> buffered;
   std::set<size_t> poisoned;
@@ -361,10 +367,15 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   // Staleness: a parameter the unit actually tested became globally unsafe
   // outside its dispatch snapshot — the exact sequential run would have
   // excluded it, so the speculative result must be discarded and re-run.
+  // Snapshots are fold prefixes of a monotone set, so one as large as the
+  // folder's current set *is* that set and nothing can be stale.
   auto is_stale = [&](const BufferedResult& result) {
+    const std::set<std::string>& unsafe = folder.globally_unsafe();
+    if (result.snapshot->size() == unsafe.size()) {
+      return false;
+    }
     for (const std::string& param : result.unit.params_tested) {
-      if (folder.globally_unsafe().count(param) > 0 &&
-          result.snapshot.count(param) == 0) {
+      if (unsafe.count(param) > 0 && result.snapshot->count(param) == 0) {
         return true;
       }
     }
@@ -374,9 +385,9 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   // Folds every buffered result the canonical order allows, then eagerly
   // re-queues EVERY stale buffered result (staleness is monotone — see the
   // forked scheduler for the full argument). Poisoned units fold as empty
-  // stubs. After any fold the workers' snapshot copy is refreshed.
+  // stubs. A fold that grew the globally-unsafe set republishes the workers'
+  // snapshot.
   auto advance_fold = [&]() {
-    bool folded_any = false;
     while (cursor < units.size()) {
       if (poisoned.count(cursor) > 0) {
         begin_apps_through(units[cursor].app_index + 1);
@@ -402,7 +413,6 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
       buffered.erase(it);
       ++cursor;
       ++live_folds;
-      folded_any = true;
       if (pool.abort_after_folds > 0 && live_folds >= pool.abort_after_folds) {
         stopped = true;  // simulated coordinator crash (test hook)
         break;
@@ -414,8 +424,14 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
         stale_units.push_back(index);
       }
     }
+    // The new snapshot is built outside the lock; publishing is a pointer
+    // swap.
+    UnsafeSnapshot grown;
+    if (folder.globally_unsafe().size() != published_unsafe->size()) {
+      grown = std::make_shared<const std::set<std::string>>(folder.globally_unsafe());
+    }
     bool requeued_any = false;
-    if (!stale_units.empty() || folded_any) {
+    if (!stale_units.empty() || grown != nullptr) {
       std::lock_guard<std::mutex> lock(queue_mutex);
       // push_front in descending order keeps the re-queued wave in canonical
       // order at the head (the fold is waiting on the smallest index).
@@ -428,13 +444,16 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
         queue.push_front(*it);
         requeued_any = true;
       }
-      unsafe_copy = folder.globally_unsafe();
+      if (grown != nullptr) {
+        published_unsafe = std::move(grown);
+      }
     }
     if (requeued_any) {
       queue_cv.notify_all();
     }
   };
 
+  std::vector<size_t> delivered;
   while (cursor < units.size() && !stopped) {
     if (resolved.cancel_flag != nullptr && *resolved.cancel_flag != 0) {
       ZLOG_WARN << "thread-pool campaign: cancellation requested; stopping "
@@ -449,36 +468,38 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
       bool drained;
       {
         std::lock_guard<std::mutex> lock(results_mutex);
-        drained = ready_count == 0;
+        drained = ready_units.empty();
       }
       if (drained) {
         throw Error("thread-pool campaign: all workers died");
       }
     }
 
-    // Sleep until a delivery arrives. The bounded wait keeps the cancel flag
-    // responsive even when every worker is grinding on a long unit.
+    // Sleep until a delivery arrives, then take the whole ready list (the
+    // swap hands the workers back the previous batch's buffer). The bounded
+    // wait keeps the cancel flag responsive even when every worker is
+    // grinding on a long unit.
+    delivered.clear();
     {
       std::unique_lock<std::mutex> lock(results_mutex);
       results_cv.wait_for(lock, std::chrono::milliseconds(100),
-                          [&] { return ready_count > 0; });
-      if (ready_count == 0) {
-        continue;
-      }
+                          [&] { return !ready_units.empty(); });
+      delivered.swap(ready_units);
+    }
+    if (delivered.empty()) {
+      continue;
     }
 
-    // Consume every published slot. The acquire load pairs with the worker's
-    // release store; consuming resets the flag before any possible requeue.
-    for (size_t i = cursor; i < units.size(); ++i) {
-      if (!slots[i].ready.load(std::memory_order_acquire)) {
-        continue;
-      }
+    // Consume exactly the delivered slots, in unit order. The acquire load
+    // pairs with the worker's release store; consuming resets the flag
+    // before any possible requeue.
+    std::sort(delivered.begin(), delivered.end());
+    for (size_t i : delivered) {
       ResultSlot& slot = slots[i];
-      slot.ready.store(false, std::memory_order_relaxed);
-      {
-        std::lock_guard<std::mutex> lock(results_mutex);
-        --ready_count;
+      if (!slot.ready.load(std::memory_order_acquire)) {
+        continue;  // unreachable: an index is listed only after publication
       }
+      slot.ready.store(false, std::memory_order_relaxed);
       if (slot.failed) {
         if (slot.hang) {
           ++hung_workers;

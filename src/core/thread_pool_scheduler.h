@@ -35,11 +35,22 @@
 // Table-5 stage counts, and runs_to_first_detection are bitwise-identical to
 // Campaign(...).Run() at every thread count.
 //
-// Result delivery is lock-free: one pre-sized slot per unit; a worker writes
-// the result into its unit's slot and publishes with a release store on the
-// slot's ready flag. The only mutexes are the dispatch queue (workers pull
-// units, the coordinator pushes requeues) and the coordinator's wakeup
-// condition variable — neither is held during unit execution.
+// Snapshot delivery is by reference: the coordinator publishes the
+// globally-unsafe set as a std::shared_ptr<const std::set<std::string>>, and
+// every dispatch hands the worker that pointer — never a copy of the set. A
+// new snapshot is published only when a fold actually grew the set. Because
+// every snapshot is a fold prefix of a set that only grows, a buffered
+// result whose snapshot has the folder's current size ran under exactly the
+// current set and cannot be stale; only smaller snapshots are checked
+// parameter by parameter.
+//
+// Result delivery: one pre-sized slot per unit; a worker writes the result
+// into its unit's slot, publishes with a release store on the slot's ready
+// flag, and appends the unit index to a ready list under the coordinator's
+// wakeup mutex. The coordinator swaps the list out and consumes exactly those
+// slots, so a wakeup costs O(deliveries), not O(units). The only mutexes are
+// the dispatch queue (workers pull units, the coordinator pushes requeues)
+// and that wakeup mutex — neither is held during unit execution.
 //
 // Fault tolerance. The fault-injection vocabulary (fault_injection.h) maps to
 // threads as follows: kCrash terminates the worker *thread* after reporting a

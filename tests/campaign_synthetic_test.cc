@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "src/analysis/static_prior.h"
 #include "src/core/campaign.h"
 #include "src/runtime/node_init.h"
 
@@ -139,6 +143,41 @@ TEST_F(SyntheticCampaignTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.TotalExecuted(), b.TotalExecuted());
   EXPECT_EQ(a.findings.size(), b.findings.size());
   EXPECT_EQ(a.first_trial_candidates, b.first_trial_candidates);
+}
+
+TEST_F(SyntheticCampaignTest, StaticPriorityDecidesVerificationOrder) {
+  // TestTwo fails on both unsafe parameters. Without a prior they are
+  // pooled, bisected, and verified in name order; a prior ranking
+  // synth.unsafe.one-test above the rest must put it first, pooled or not.
+  analysis::StaticPriorReport prior;
+  prior.params["synth.unsafe.one-test"].priority = 2.0;
+  const UnitTestDef* test = corpus_.Find("synthapp.TestTwo");
+  ASSERT_NE(test, nullptr);
+
+  auto confirmation_order = [&](const analysis::StaticPriorReport* static_prior,
+                                bool pooling) {
+    CampaignOptions options;
+    options.apps = {kApp};
+    options.enable_pooling = pooling;
+    options.static_prior = static_prior;
+    Campaign campaign(schema_, corpus_, options);
+    std::vector<std::string> order;
+    for (const UnitConfirmation& confirmation :
+         campaign.RunUnit(*test, {}).confirmations) {
+      order.push_back(confirmation.param);
+    }
+    return order;
+  };
+
+  const std::vector<std::string> by_name = {"synth.unsafe.everywhere",
+                                            "synth.unsafe.one-test"};
+  const std::vector<std::string> by_priority = {"synth.unsafe.one-test",
+                                                "synth.unsafe.everywhere"};
+  for (bool pooling : {true, false}) {
+    SCOPED_TRACE(pooling ? "pooled" : "individual");
+    EXPECT_EQ(confirmation_order(nullptr, pooling), by_name);
+    EXPECT_EQ(confirmation_order(&prior, pooling), by_priority);
+  }
 }
 
 }  // namespace

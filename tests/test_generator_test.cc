@@ -3,10 +3,15 @@
 
 #include "src/core/test_generator.h"
 
+#include <algorithm>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/analysis/static_prior.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/unit_test_registry.h"
 
@@ -160,6 +165,167 @@ TEST_F(TestGeneratorTest, RoundRobinCanBeDisabled) {
   // And the instance count shrinks relative to the full strategy set.
   EXPECT_LT(uniform_only.Generate(record, nullptr).size(),
             generator_.Generate(record, nullptr).size());
+}
+
+// The enumeration Generate performed before the instance catalogue, kept
+// here as the reference: for every parameter, value pair, and assigner, the
+// dependency overrides of both values are merged afresh (first occurrence
+// wins, v1's rules first).
+std::vector<GeneratedInstance> ReferenceGenerate(const ConfSchema& schema,
+                                                 const GeneratorOptions& options,
+                                                 const PreRunRecord& record,
+                                                 int64_t* count_before_uncertainty) {
+  std::vector<GeneratedInstance> instances;
+  *count_before_uncertainty = 0;
+  const SessionReport& report = record.result.report;
+  if (!report.StartedAnyNode()) {
+    return instances;
+  }
+  for (const ParamSpec* spec : schema.ParamsForApp(record.test->app)) {
+    if (options.static_prior != nullptr &&
+        options.static_prior->IsNeverRead(spec->name)) {
+      continue;
+    }
+    const bool uncertain = report.uncertain_params.count(spec->name) > 0;
+    for (const auto& [entity, params_read] : report.reads) {
+      if (options.prune_unread_instances && params_read.count(spec->name) == 0) {
+        continue;
+      }
+      int group_count = 1;
+      auto count_it = report.node_counts.find(entity);
+      if (count_it != report.node_counts.end()) {
+        group_count = count_it->second;
+      }
+      for (const auto& [v1, v2] : TestGenerator::ValuePairs(*spec)) {
+        std::vector<ValueAssigner> assigners = {
+            ValueAssigner::UniformGroup(entity, v1, v2),
+            ValueAssigner::UniformGroup(entity, v2, v1)};
+        if (options.enable_round_robin && group_count >= 2) {
+          assigners.push_back(ValueAssigner::RoundRobinGroup(entity, v1, v2));
+          assigners.push_back(ValueAssigner::RoundRobinGroup(entity, v2, v1));
+        }
+        for (ValueAssigner& assigner : assigners) {
+          ++*count_before_uncertainty;
+          if (uncertain) {
+            continue;
+          }
+          GeneratedInstance instance;
+          instance.test = record.test;
+          instance.plan.param = spec->name;
+          instance.plan.assigner = std::move(assigner);
+          std::set<std::string> seen;
+          for (const std::string& value : {v1, v2}) {
+            for (const auto& [dep_param, dep_value] :
+                 schema.DependencyOverrides(spec->name, value)) {
+              if (seen.insert(dep_param + "=" + dep_value).second) {
+                instance.plan.extra_overrides.emplace_back(dep_param, dep_value);
+              }
+            }
+          }
+          if (options.static_prior != nullptr) {
+            instance.plan.static_priority =
+                options.static_prior->PriorityOf(spec->name);
+          }
+          instances.push_back(std::move(instance));
+        }
+      }
+    }
+  }
+  return instances;
+}
+
+// Generate must return exactly the reference sequence: same plans (by
+// fingerprint, which covers assigner and overrides), priorities, and count.
+// Returns the number of instances compared.
+int64_t ExpectMatchesReference(const TestGenerator& generator, const ConfSchema& schema,
+                               const GeneratorOptions& options,
+                               const PreRunRecord& record) {
+  int64_t expected_before = -1;
+  std::vector<GeneratedInstance> expected =
+      ReferenceGenerate(schema, options, record, &expected_before);
+  int64_t before = -1;
+  std::vector<GeneratedInstance> actual = generator.Generate(record, &before);
+  EXPECT_EQ(before, expected_before);
+  EXPECT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < std::min(actual.size(), expected.size()); ++i) {
+    EXPECT_EQ(actual[i].test, expected[i].test);
+    EXPECT_EQ(actual[i].plan.Fingerprint(), expected[i].plan.Fingerprint());
+    EXPECT_EQ(actual[i].plan.static_priority, expected[i].plan.static_priority);
+  }
+  return static_cast<int64_t>(actual.size());
+}
+
+TEST_F(TestGeneratorTest, CatalogueMatchesReferenceEnumerationForFullCorpus) {
+  analysis::StaticAnalyzer analyzer;
+  ASSERT_GT(analyzer.AddTree(ZEBRALINT_SOURCE_ROOT), 0);
+  const analysis::StaticPriorReport prior = analyzer.Analyze(&FullSchema());
+
+  std::vector<PreRunRecord> records;
+  for (const UnitTestDef& test : FullCorpus().tests()) {
+    records.push_back(generator_.PreRunTest(test, nullptr));
+  }
+
+  int64_t total_instances = 0;
+  int64_t with_overrides = 0;
+  int64_t prioritized = 0;
+  for (bool round_robin : {true, false}) {
+    for (bool prune : {true, false}) {
+      for (const analysis::StaticPriorReport* static_prior :
+           {static_cast<const analysis::StaticPriorReport*>(nullptr), &prior}) {
+        GeneratorOptions options;
+        options.enable_round_robin = round_robin;
+        options.prune_unread_instances = prune;
+        options.static_prior = static_prior;
+        TestGenerator generator(FullSchema(), FullCorpus(), options);
+        for (const PreRunRecord& record : records) {
+          SCOPED_TRACE(record.test->id + " round_robin=" + std::to_string(round_robin) +
+                       " prune=" + std::to_string(prune) +
+                       " prior=" + std::to_string(static_prior != nullptr));
+          total_instances +=
+              ExpectMatchesReference(generator, FullSchema(), options, record);
+          for (const GeneratedInstance& instance : generator.Generate(record, nullptr)) {
+            with_overrides += instance.plan.extra_overrides.empty() ? 0 : 1;
+            prioritized += instance.plan.static_priority != 1.0 ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  // The comparison covered dependency overrides and non-default priorities.
+  EXPECT_GT(total_instances, 0);
+  EXPECT_GT(with_overrides, 0);
+  EXPECT_GT(prioritized, 0);
+}
+
+TEST_F(TestGeneratorTest, CatalogueMatchesReferenceOnOverlappingRulesAndForeignApps) {
+  // A wildcard and an exact rule naming the same override (merged once),
+  // rules on both values of a pair, a shared-library parameter, and an app
+  // owning no parameter at all (it sees only the shared ones).
+  ConfSchema schema;
+  schema.AddParam(ParamSpec{"x.p", "x", ParamType::kEnum, "a", {"a", "b", "c"}, ""});
+  schema.AddParam(
+      ParamSpec{"common.q", kSharedApp, ParamType::kBool, "true", {"true", "false"}, ""});
+  schema.AddDependencyRule("x.p", "*", "x.dep", "1");
+  schema.AddDependencyRule("x.p", "a", "x.dep", "1");
+  schema.AddDependencyRule("x.p", "b", "x.other", "2");
+  schema.AddDependencyRule("common.q", "true", "common.dep", "on");
+
+  int64_t compared = 0;
+  for (const std::string app : {"x", "unowned"}) {
+    UnitTestDef test{app + ".T", app, nullptr};
+    PreRunRecord record;
+    record.test = &test;
+    record.result.report.node_counts = {{"A", 1}, {"B", 2}};
+    record.result.report.reads = {{"A", {"x.p", "common.q"}}, {"B", {"x.p"}}};
+    for (bool prune : {true, false}) {
+      SCOPED_TRACE(app + " prune=" + std::to_string(prune));
+      GeneratorOptions options;
+      options.prune_unread_instances = prune;
+      TestGenerator generator(schema, FullCorpus(), options);
+      compared += ExpectMatchesReference(generator, schema, options, record);
+    }
+  }
+  EXPECT_GT(compared, 0);
 }
 
 TEST_F(TestGeneratorTest, SharedLibraryParamsGeneratedForApps) {

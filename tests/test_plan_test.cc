@@ -5,6 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/core/test_generator.h"
+#include "src/testkit/full_schema.h"
+#include "src/testkit/unit_test_registry.h"
 
 namespace zebra {
 namespace {
@@ -95,6 +102,78 @@ TEST(TestPlanTest, DescribeIsStableAndDistinct) {
   p.assigner = ValueAssigner::Homogeneous("1");
   homo.mutable_params() = {p};
   EXPECT_NE(a.Describe(), homo.Describe());
+}
+
+// DescribeSeed() is folded piece by piece; the contract is that it equals
+// the hash of the rendered Describe() string, bit for bit.
+void ExpectSeedContract(const TestPlan& plan) {
+  EXPECT_EQ(plan.DescribeSeed(), Fnv1a64(plan.Describe())) << plan.Describe();
+}
+
+ParamPlan MakeParamPlan(std::string param, ValueAssigner assigner,
+                        std::vector<std::pair<std::string, std::string>> overrides = {}) {
+  ParamPlan plan;
+  plan.param = std::move(param);
+  plan.assigner = std::move(assigner);
+  plan.extra_overrides = std::move(overrides);
+  return plan;
+}
+
+TEST(TestPlanTest, DescribeSeedEqualsHashOfDescribe) {
+  ExpectSeedContract(TestPlan{});
+  ExpectSeedContract(TestPlan({MakeParamPlan("x", ValueAssigner::Homogeneous("1"))}));
+  ExpectSeedContract(
+      TestPlan({MakeParamPlan("x", ValueAssigner::UniformGroup("NameNode", "1", "2"))}));
+  ExpectSeedContract(TestPlan(
+      {MakeParamPlan("x", ValueAssigner::RoundRobinGroup("DataNode", "a", "b"))}));
+  // Empty values and empty group types still render their separators.
+  ExpectSeedContract(
+      TestPlan({MakeParamPlan("", ValueAssigner::UniformGroup("", "", ""))}));
+  ExpectSeedContract(TestPlan({MakeParamPlan(
+      "dfs.http.policy",
+      ValueAssigner::UniformGroup("NameNode", "HTTP_ONLY", "HTTPS_ONLY"),
+      {{"dfs.namenode.http-address", "a"}, {"dfs.namenode.https-address", "b"}})}));
+
+  // Pooled: several entries joined by ", ".
+  TestPlan pooled;
+  pooled.Add(MakeParamPlan("p0", ValueAssigner::Homogeneous("0")));
+  pooled.Add(MakeParamPlan("p1", ValueAssigner::UniformGroup("T", "1", "2"),
+                           {{"dep", "v"}}));
+  pooled.Add(MakeParamPlan("p2", ValueAssigner::RoundRobinGroup("T", "2", "1")));
+  ExpectSeedContract(pooled);
+}
+
+TEST(TestPlanTest, MutationRederivesDescribeSeed) {
+  TestPlan plan({MakeParamPlan("x", ValueAssigner::UniformGroup("T", "1", "2"))});
+  const uint64_t single = plan.DescribeSeed();
+
+  plan.Add(MakeParamPlan("y", ValueAssigner::Homogeneous("3")));
+  EXPECT_NE(plan.DescribeSeed(), single);
+  ExpectSeedContract(plan);
+
+  plan.mutable_params()[0].assigner = ValueAssigner::UniformGroup("T", "2", "1");
+  ExpectSeedContract(plan);
+
+  plan.mutable_params().pop_back();
+  plan.mutable_params()[0].assigner = ValueAssigner::UniformGroup("T", "1", "2");
+  EXPECT_EQ(plan.DescribeSeed(), single);
+}
+
+TEST(TestPlanTest, DescribeSeedContractHoldsForEveryGeneratedInstance) {
+  TestGenerator generator(FullSchema(), FullCorpus());
+  int64_t checked = 0;
+  for (const UnitTestDef& test : FullCorpus().tests()) {
+    PreRunRecord record = generator.PreRunTest(test, nullptr);
+    std::vector<GeneratedInstance> instances = generator.Generate(record, nullptr);
+    TestPlan pooled;
+    for (const GeneratedInstance& instance : instances) {
+      ExpectSeedContract(TestPlan({instance.plan}));
+      pooled.Add(instance.plan);
+      ++checked;
+    }
+    ExpectSeedContract(pooled);
+  }
+  EXPECT_GT(checked, 0);
 }
 
 TEST(AssignStrategyTest, Names) {

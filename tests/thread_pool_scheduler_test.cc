@@ -18,6 +18,7 @@
 
 #include "src/common/error.h"
 #include "src/core/campaign_executor.h"
+#include "src/core/report_io.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/run_cache.h"
 #include "src/testkit/unit_test_registry.h"
@@ -139,6 +140,33 @@ TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalAtEveryThreadCount) {
                                                   equiv_options, workers);
     ExpectIdenticalResults(pooled, expected,
                            "equiv workers=" + std::to_string(workers));
+  }
+}
+
+TEST(ThreadPoolSchedulerTest, LowFailureThresholdStaleResultsStayBitwiseIdentical) {
+  // A frequent-failure threshold of 1 or 2 grows the globally-unsafe set at
+  // nearly every confirmation: the most snapshot republications and the most
+  // stale speculative results. The staleness check's equal-size fast path
+  // must never wave one of them through.
+  for (int threshold : {1, 2}) {
+    CampaignOptions options;  // all apps
+    options.frequent_failure_threshold = threshold;
+    Campaign sequential(FullSchema(), FullCorpus(), options);
+    CampaignReport expected = sequential.Run();
+    ASSERT_GT(expected.findings.size(), 0u);
+    const std::string expected_text = SerializeReport(expected);
+
+    for (int workers : {2, 4, 8}) {
+      const std::string label = "threshold=" + std::to_string(threshold) +
+                                " workers=" + std::to_string(workers);
+      CampaignReport pooled =
+          RunThreadPoolCampaign(FullSchema(), FullCorpus(), options, workers);
+      ExpectIdenticalResults(pooled, expected, label);
+      // Timing is the only legitimate difference in the serialized form.
+      pooled.wall_seconds = expected.wall_seconds;
+      pooled.run_durations_seconds = expected.run_durations_seconds;
+      EXPECT_EQ(SerializeReport(pooled), expected_text) << label;
+    }
   }
 }
 
