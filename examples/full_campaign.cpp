@@ -7,7 +7,9 @@
 //   $ ./full_campaign --first-trials 3         # §5 false-negative mitigation
 //   $ ./full_campaign --report report.md       # write a markdown report
 //   $ ./full_campaign --cache-file runs.zc     # warm-start the run cache
+//                                              # (sequential runs only)
 //   $ ./full_campaign --equiv-cache            # observational-equivalence dedup
+//   $ ./full_campaign --workers 4              # thread pool, 4 threads
 //   $ ./full_campaign --journal camp.zj        # crash-safe result journal
 //   $ ./full_campaign --journal camp.zj --resume   # pick up where it stopped
 //   $ ./full_campaign --static-prior           # zebralint prune/rank/couple
@@ -44,9 +46,7 @@
 #include "src/core/campaign_agent.h"
 #include "src/core/campaign_executor.h"
 #include "src/core/fabric_wire.h"
-#include "src/core/parallel_scheduler.h"
 #include "src/core/report_writer.h"
-#include "src/core/sharded_campaign.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/ground_truth.h"
 #include "src/testkit/unit_test_registry.h"
@@ -159,15 +159,15 @@ int main(int argc, char** argv) {
           "          [--watchdog-floor SECONDS]\n"
           "          [--static-prior] [--no-coupling-plans]\n"
           "          [--impacted-only DIFF.json]\n"
-          "          [--engine sequential|sharded|stealing|threadpool|"
-          "distributed]\n"
+          "          [--engine sequential|threadpool|distributed]\n"
           "          [--agents N] [--agent-threads K] [--pipeline-depth N]\n"
           "          [--agent-cache-dir DIR] [--listen HOST:PORT]\n"
           "          [--connect HOST:PORT] [--agent-index N]\n"
           "          [app ...]\n"
           "apps: minidfs minimr miniyarn ministream minikv apptools\n"
           "--cache-file warm-starts the run cache from FILE (if it exists)\n"
-          "and saves the cache back after the campaign (also on SIGINT/SIGTERM).\n"
+          "and saves the cache back after the campaign (also on SIGINT/SIGTERM);\n"
+          "sequential runs only.\n"
           "--journal appends every folded unit result to FILE (crash-safe);\n"
           "--resume replays a journal's valid prefix instead of re-running it.\n"
           "--journal-sync picks the durability policy: 'every' (default)\n"
@@ -182,10 +182,10 @@ int main(int argc, char** argv) {
           "--impacted-only restricts the dynamic phase to tests whose pre-run\n"
           "reads intersect the impacted list of a `zebralint --diff --json`\n"
           "artifact (see docs/ZEBRALINT.md).\n"
-          "--engine picks the execution backend explicitly (all five produce\n"
-          "bitwise-identical findings; see docs/PARALLEL.md). Without it the\n"
-          "driver routes by flags: journaled runs use the work-stealing pool,\n"
-          "--workers N>1 uses per-app sharding, otherwise sequential.\n"
+          "--engine picks the execution backend explicitly (all three produce\n"
+          "bitwise-identical findings; see docs/PARALLEL.md). Without it,\n"
+          "--workers N>1 or --journal selects the thread pool, otherwise\n"
+          "sequential.\n"
           "--engine distributed runs the TCP campaign fabric: --agents N\n"
           "forked local agent processes x --agent-threads K threads each\n"
           "(docs/ROBUSTNESS.md, fabric section). --listen HOST:PORT instead\n"
@@ -230,23 +230,37 @@ int main(int argc, char** argv) {
     return RunCampaignAgent(FullSchema(), FullCorpus(), options, agent);
   }
 
-  std::optional<ExecutorKind> engine;
+  // One routing decision: --engine, else the thread pool for parallel or
+  // journaled runs, else sequential.
+  ExecutorKind engine = ExecutorKind::kSequential;
   if (!engine_name.empty()) {
-    engine = ParseExecutorKind(engine_name);
-    if (!engine) {
+    std::optional<ExecutorKind> parsed = ParseExecutorKind(engine_name);
+    if (!parsed) {
       std::fprintf(stderr,
-                   "unknown --engine '%s' "
-                   "(sequential|sharded|stealing|threadpool|distributed)\n",
+                   "unknown --engine '%s' (sequential|threadpool|distributed)\n",
                    engine_name.c_str());
       return 2;
     }
+    engine = *parsed;
+  } else if (workers > 1 || !journal_path.empty()) {
+    engine = ExecutorKind::kThreadPool;
   }
   if ((agents > 0 || agent_threads != 1 || !listen_address.empty() ||
        pipeline_depth > 0 || !agent_cache_dir.empty()) &&
-      (!engine || *engine != ExecutorKind::kDistributed)) {
+      engine != ExecutorKind::kDistributed) {
     std::fprintf(stderr,
                  "--agents/--agent-threads/--listen/--pipeline-depth/"
                  "--agent-cache-dir require --engine distributed\n");
+    return 2;
+  }
+  if (!cache_file.empty() && (engine != ExecutorKind::kSequential ||
+                              workers > 1 || !journal_path.empty())) {
+    // Only the sequential run owns one cache it can load and save; a
+    // silently unsaved cache file (or a silently dropped flag on the
+    // sequential path) would be worse than a refusal.
+    std::fprintf(stderr,
+                 "--cache-file requires a sequential run: no --workers N>1, "
+                 "no --journal, no --engine other than sequential\n");
     return 2;
   }
 
@@ -290,17 +304,17 @@ int main(int argc, char** argv) {
 
   CampaignReport report;
   try {
-  if (engine) {
-    // Explicit backend selection: every backend implements CampaignExecutor,
-    // so the driver hands over one ExecutorOptions and lets the backend
-    // throw on anything it cannot honor (e.g. --journal on sequential)
-    // instead of silently dropping the flag.
+  if (cache_file.empty()) {
+    // Every backend implements CampaignExecutor, so the driver hands over
+    // one ExecutorOptions and lets the backend throw on anything it cannot
+    // honor (e.g. --journal on sequential) instead of silently dropping the
+    // flag.
     ExecutorOptions exec;
     exec.workers = workers < 1 ? 1 : workers;
     exec.journal_path = journal_path;
     exec.resume = resume;
     exec.journal_sync_batch = journal_sync_batch;
-    if (*engine == ExecutorKind::kDistributed) {
+    if (engine == ExecutorKind::kDistributed) {
       // The distributed backend reads workers as the agent count; --agents
       // overrides --workers when both are given.
       if (agents > 0) {
@@ -314,22 +328,11 @@ int main(int argc, char** argv) {
       // the backend forks the whole fleet locally.
       exec.spawn_agents = listen_address.empty();
     }
-    report = MakeExecutor(*engine)->Run(FullSchema(), FullCorpus(), options,
-                                        exec);
-  } else if (!journal_path.empty()) {
-    // Journaling lives in the work-stealing scheduler; at --workers 1 it is
-    // bitwise-identical to the sequential campaign, so routing every
-    // journaled run through it costs nothing.
-    ParallelCampaignOptions parallel;
-    parallel.workers = workers < 1 ? 1 : workers;
-    parallel.journal_path = journal_path;
-    parallel.resume = resume;
-    parallel.journal_sync_batch = journal_sync_batch;
-    report = RunWorkStealingCampaign(FullSchema(), FullCorpus(), options,
-                                     parallel);
-  } else if (workers > 1) {
-    report = RunShardedCampaign(FullSchema(), FullCorpus(), options, workers);
+    report = MakeExecutor(engine)->Run(FullSchema(), FullCorpus(), options,
+                                       exec);
   } else {
+    // A sequential run with a persistent cache: the one path that needs the
+    // Campaign itself, to load its cache before the run and save it after.
     Campaign campaign(FullSchema(), FullCorpus(), options);
     if (!cache_file.empty() && campaign.run_cache() != nullptr) {
       if (campaign.run_cache()->LoadFromFile(cache_file)) {

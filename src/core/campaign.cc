@@ -423,8 +423,8 @@ UnitWorkResult Campaign::RunUnitDynamic(
   // Observational-equivalence layer: the pre-run's read surface canonicalizes
   // and trace-predicts every plan this unit's dynamic phase executes (see
   // plan_equiv.h). Installed for this unit only — the surface is the promise
-  // of *this* test's pre-run. Works identically in-process and inside a
-  // forked scheduler worker (process-global scoped state, like the cache).
+  // of *this* test's pre-run. Works identically on every worker thread
+  // (thread-local scoped state, like the cache installation).
   // Built only when the layer is on; otherwise the scope installs nullptr.
   std::optional<ReadSurface> surface;
   if (options_.enable_equiv_cache) {

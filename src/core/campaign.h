@@ -15,9 +15,10 @@
 // (options.apps order, then corpus registration order) and owns all
 // cross-unit state (findings, the frequent-failure rule, Table-5 counters,
 // runs_to_first_detection). Campaign::Run is the sequential fold; the
-// parallel scheduler (core/parallel_scheduler.h) is the same fold fed by a
-// work-stealing worker pool — which is why its results are bitwise-identical
-// to the sequential run at every worker count.
+// thread pool and the distributed fabric run the same fold, fed by
+// speculative workers, through CanonicalFold (core/canonical_fold.h) —
+// which is why their results are bitwise-identical to the sequential run at
+// every worker count.
 
 #ifndef SRC_CORE_CAMPAIGN_H_
 #define SRC_CORE_CAMPAIGN_H_
@@ -130,11 +131,12 @@ struct CampaignOptions {
 
   // --- Fault tolerance (docs/ROBUSTNESS.md) ---
 
-  // Watchdog deadline for one in-flight work unit (or shard):
+  // Watchdog deadline for one in-flight fabric lease:
   //   deadline = watchdog_floor_seconds
   //            + watchdog_multiplier * p95(observed completion times)
-  // A worker past its deadline is SIGKILLed, reaped, and its unit re-queued
-  // to the survivors. The floor alone applies until the parent has observed
+  // An agent holding a lease past its deadline is SIGKILLed, reaped, and
+  // its leases re-queued to the survivors (the thread pool has no watchdog;
+  // see thread_pool_scheduler.h). The floor alone applies until the parent has observed
   // completions, so keep it comfortably above the slowest legitimate unit;
   // a floor <= 0 disables the watchdog entirely.
   double watchdog_floor_seconds = 60.0;
@@ -373,7 +375,7 @@ class Campaign {
   // frequent-failure set a sequential campaign would know when reaching this
   // unit (a stale subset yields a result the scheduler detects and re-runs).
   // Installs this campaign's run cache and a unit-local duration collector
-  // for the duration of the call. Used by parallel-scheduler workers.
+  // for the duration of the call. Used by thread-pool and fabric workers.
   UnitWorkResult RunUnit(const UnitTestDef& test,
                          const std::set<std::string>& globally_unsafe);
 

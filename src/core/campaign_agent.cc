@@ -307,9 +307,10 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
       try {
         unit = engine.RunUnit(test, unsafe);
       } catch (const std::exception& e) {
-        // In-agent analog of a dead forked worker: take the whole agent down
-        // so the coordinator's requeue path recovers the lease. One bad unit
-        // costing a whole agent is the forked scheduler's economics too.
+        // Treat it as a dead agent: take the whole agent down so the
+        // coordinator's requeue path recovers the lease. One bad unit costs
+        // one agent, and the attempt limit quarantines a unit that keeps
+        // killing agents.
         ZLOG_WARN << "campaign agent " << agent.agent_index << ": unit "
                   << test.id << " failed (" << e.what() << ")";
         std::_Exit(14);

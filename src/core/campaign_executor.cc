@@ -4,28 +4,25 @@
 
 #include "src/common/error.h"
 #include "src/core/distributed_campaign.h"
-#include "src/core/parallel_scheduler.h"
-#include "src/core/sharded_campaign.h"
 #include "src/core/thread_pool_scheduler.h"
 
 namespace zebra {
 
 namespace {
 
-// Shared option validation: reject what the backend would otherwise silently
-// drop. `journal_ok`/`faults_ok` mirror the capability flags.
+// Option validation for the single-box backends: reject what the backend
+// would otherwise silently drop. The thread pool honors the journal and
+// fault plan; sequential honors neither.
 void RequireHonorable(const char* name, const ExecutorOptions& exec,
-                      bool journal_ok, bool faults_ok) {
-  if (!journal_ok &&
+                      bool journal_and_faults_ok) {
+  if (!journal_and_faults_ok &&
       (!exec.journal_path.empty() || exec.resume || exec.abort_after_folds > 0)) {
     throw Error(std::string(name) +
                 " executor does not support journal/resume options");
   }
-  if (!faults_ok && !exec.faults.empty()) {
+  if (!journal_and_faults_ok && !exec.faults.empty()) {
     throw Error(std::string(name) + " executor does not support fault injection");
   }
-  // Fabric-only controls: every single-box backend refuses them (the
-  // distributed executor never calls this helper).
   if (exec.agent_threads != 1 || !exec.net_faults.empty() ||
       !exec.listen_address.empty() || exec.pipeline_depth != 0 ||
       !exec.agent_cache_dir.empty()) {
@@ -37,14 +34,11 @@ void RequireHonorable(const char* name, const ExecutorOptions& exec,
 class SequentialExecutor : public CampaignExecutor {
  public:
   const char* name() const override { return "sequential"; }
-  bool supports_process_faults() const override { return false; }
-  bool supports_journal() const override { return false; }
-  bool supports_fault_injection() const override { return false; }
 
   CampaignReport Run(const ConfSchema& schema, const UnitTestRegistry& corpus,
                      CampaignOptions options,
                      const ExecutorOptions& exec) override {
-    RequireHonorable(name(), exec, /*journal_ok=*/false, /*faults_ok=*/false);
+    RequireHonorable(name(), exec, /*journal_and_faults_ok=*/false);
     if (exec.workers != 1) {
       throw Error("sequential executor requires workers == 1");
     }
@@ -52,57 +46,14 @@ class SequentialExecutor : public CampaignExecutor {
   }
 };
 
-class ShardedExecutor : public CampaignExecutor {
- public:
-  const char* name() const override { return "sharded"; }
-  bool supports_process_faults() const override { return true; }
-  bool supports_journal() const override { return false; }
-  bool supports_fault_injection() const override { return true; }
-
-  CampaignReport Run(const ConfSchema& schema, const UnitTestRegistry& corpus,
-                     CampaignOptions options,
-                     const ExecutorOptions& exec) override {
-    RequireHonorable(name(), exec, /*journal_ok=*/false, /*faults_ok=*/true);
-    ShardedCampaignOptions sharded;
-    sharded.workers = exec.workers;
-    sharded.faults = exec.faults;
-    return RunShardedCampaign(schema, corpus, std::move(options), sharded);
-  }
-};
-
-class StealingExecutor : public CampaignExecutor {
- public:
-  const char* name() const override { return "stealing"; }
-  bool supports_process_faults() const override { return true; }
-  bool supports_journal() const override { return true; }
-  bool supports_fault_injection() const override { return true; }
-
-  CampaignReport Run(const ConfSchema& schema, const UnitTestRegistry& corpus,
-                     CampaignOptions options,
-                     const ExecutorOptions& exec) override {
-    RequireHonorable(name(), exec, /*journal_ok=*/true, /*faults_ok=*/true);
-    ParallelCampaignOptions parallel;
-    parallel.workers = exec.workers;
-    parallel.faults = exec.faults;
-    parallel.journal_path = exec.journal_path;
-    parallel.resume = exec.resume;
-    parallel.journal_sync_batch = exec.journal_sync_batch;
-    parallel.abort_after_folds = exec.abort_after_folds;
-    return RunWorkStealingCampaign(schema, corpus, std::move(options), parallel);
-  }
-};
-
 class ThreadPoolExecutor : public CampaignExecutor {
  public:
   const char* name() const override { return "threadpool"; }
-  bool supports_process_faults() const override { return false; }
-  bool supports_journal() const override { return true; }
-  bool supports_fault_injection() const override { return true; }
 
   CampaignReport Run(const ConfSchema& schema, const UnitTestRegistry& corpus,
                      CampaignOptions options,
                      const ExecutorOptions& exec) override {
-    RequireHonorable(name(), exec, /*journal_ok=*/true, /*faults_ok=*/true);
+    RequireHonorable(name(), exec, /*journal_and_faults_ok=*/true);
     ThreadPoolCampaignOptions pool;
     pool.workers = exec.workers;
     pool.faults = exec.faults;
@@ -110,7 +61,6 @@ class ThreadPoolExecutor : public CampaignExecutor {
     pool.resume = exec.resume;
     pool.journal_sync_batch = exec.journal_sync_batch;
     pool.abort_after_folds = exec.abort_after_folds;
-    pool.share_run_cache = exec.share_run_cache;
     return RunThreadPoolCampaign(schema, corpus, std::move(options), pool);
   }
 };
@@ -118,9 +68,6 @@ class ThreadPoolExecutor : public CampaignExecutor {
 class DistributedExecutor : public CampaignExecutor {
  public:
   const char* name() const override { return "distributed"; }
-  bool supports_process_faults() const override { return true; }
-  bool supports_journal() const override { return true; }
-  bool supports_fault_injection() const override { return true; }
 
   CampaignReport Run(const ConfSchema& schema, const UnitTestRegistry& corpus,
                      CampaignOptions options,
@@ -150,10 +97,6 @@ std::unique_ptr<CampaignExecutor> MakeExecutor(ExecutorKind kind) {
   switch (kind) {
     case ExecutorKind::kSequential:
       return std::make_unique<SequentialExecutor>();
-    case ExecutorKind::kSharded:
-      return std::make_unique<ShardedExecutor>();
-    case ExecutorKind::kStealing:
-      return std::make_unique<StealingExecutor>();
     case ExecutorKind::kThreadPool:
       return std::make_unique<ThreadPoolExecutor>();
     case ExecutorKind::kDistributed:
@@ -163,20 +106,11 @@ std::unique_ptr<CampaignExecutor> MakeExecutor(ExecutorKind kind) {
 }
 
 std::optional<ExecutorKind> ParseExecutorKind(const std::string& name) {
-  if (name == "sequential") {
-    return ExecutorKind::kSequential;
-  }
-  if (name == "sharded") {
-    return ExecutorKind::kSharded;
-  }
-  if (name == "stealing") {
-    return ExecutorKind::kStealing;
-  }
-  if (name == "threadpool") {
-    return ExecutorKind::kThreadPool;
-  }
-  if (name == "distributed") {
-    return ExecutorKind::kDistributed;
+  for (ExecutorKind kind : {ExecutorKind::kSequential, ExecutorKind::kThreadPool,
+                            ExecutorKind::kDistributed}) {
+    if (name == ExecutorKindName(kind)) {
+      return kind;
+    }
   }
   return std::nullopt;
 }
@@ -185,10 +119,6 @@ const char* ExecutorKindName(ExecutorKind kind) {
   switch (kind) {
     case ExecutorKind::kSequential:
       return "sequential";
-    case ExecutorKind::kSharded:
-      return "sharded";
-    case ExecutorKind::kStealing:
-      return "stealing";
     case ExecutorKind::kThreadPool:
       return "threadpool";
     case ExecutorKind::kDistributed:

@@ -1,23 +1,17 @@
-// CampaignExecutor: one interface over every campaign execution backend.
+// CampaignExecutor: one interface over the campaign execution backends.
 //
-// The campaign layer grew four ways to run the same fold — sequential
-// (Campaign::Run), per-app sharding (sharded_campaign.h), forked
-// work-stealing (parallel_scheduler.h), and the in-process thread pool
-// (thread_pool_scheduler.h). They share one contract: findings, Table-5
-// stage counts, and runs_to_first_detection are bitwise-identical across
-// backends and worker counts; only wall-clock and the robustness surface
-// differ. This interface pins that contract down so harness layers
-// (journal/resume, fault injection, watchdog, run caching, plan-equivalence
-// dedup) and callers (CLI, benches, tests) are written once against
-// `CampaignExecutor` instead of once per backend — and so a future
-// distributed fabric (ROADMAP) is "implement this interface", not "re-plumb
-// every layer".
+// Three backends run the same fold — sequential (Campaign::Run, the
+// oracle), the in-process thread pool (thread_pool_scheduler.h, the
+// single-box engine), and the distributed fabric (distributed_campaign.h,
+// process isolation and multi-host runs). They share one contract:
+// findings, Table-5 stage counts, and runs_to_first_detection are
+// bitwise-identical across backends and worker counts; only wall-clock and
+// the robustness surface differ. Callers (CLI, benches, tests) are written
+// once against `CampaignExecutor` instead of once per backend.
 //
-// Capability flags express what a backend can honor instead of silently
-// ignoring options: process faults need forked workers, journaling needs a
-// dynamic unit-order scheduler. Run() throws Error when handed an
-// ExecutorOptions it cannot honor — a campaign that quietly dropped its
-// journal would be worse than one that refused to start.
+// Run() throws Error when handed an ExecutorOptions it cannot honor — a
+// campaign that quietly dropped its journal would be worse than one that
+// refused to start.
 
 #ifndef SRC_CORE_CAMPAIGN_EXECUTOR_H_
 #define SRC_CORE_CAMPAIGN_EXECUTOR_H_
@@ -33,27 +27,25 @@ namespace zebra {
 
 enum class ExecutorKind {
   kSequential,   // Campaign::Run on the calling thread
-  kSharded,      // per-app forked shards (sharded_campaign.h)
-  kStealing,     // forked work-stealing pool (parallel_scheduler.h)
   kThreadPool,   // in-process thread pool (thread_pool_scheduler.h)
   kDistributed,  // TCP coordinator/agent fabric (distributed_campaign.h)
 };
 
-// Backend-independent execution controls. Each backend honors the subset its
-// capability flags advertise and throws on the rest.
+// Backend-independent execution controls. Each backend honors the subset it
+// can and throws on the rest.
 struct ExecutorOptions {
-  // Parallel workers (processes or threads, per backend). Sequential
-  // requires 1.
+  // Parallel workers: threads for the thread pool, agents for the fabric.
+  // Sequential requires 1.
   int workers = 1;
 
-  // Deterministic fault-injection plan (fault_injection.h). The forked
-  // backends inject real process faults; the thread pool maps them to
-  // failed attempts (see thread_pool_scheduler.h); sequential rejects any
+  // Deterministic fault-injection plan (fault_injection.h). The fabric's
+  // agents inject real process faults; the thread pool maps them to failed
+  // attempts (see thread_pool_scheduler.h); sequential rejects any
   // non-empty plan.
   FaultPlan faults;
 
-  // Crash-safe journal + resume (campaign_journal.h). Honored by the
-  // dynamic-order schedulers (stealing, thread pool) only.
+  // Crash-safe journal + resume (campaign_journal.h). Honored by the thread
+  // pool and the fabric; sequential rejects it.
   std::string journal_path;
   bool resume = false;
 
@@ -62,12 +54,8 @@ struct ExecutorOptions {
   // coverage for fewer disk barriers. Never affects findings.
   int journal_sync_batch = 1;
 
-  // Test hook: stop after this many live folds (dynamic schedulers only).
+  // Test hook: stop after this many live folds (thread pool and fabric).
   int abort_after_folds = 0;
-
-  // Thread pool only: one shared internally synchronized run cache across
-  // workers instead of a cache per worker engine.
-  bool share_run_cache = true;
 
   // Distributed fabric only (distributed_campaign.h). `workers` is the agent
   // count there; agent_threads is each agent's local thread pool. Every
@@ -91,21 +79,9 @@ class CampaignExecutor {
  public:
   virtual ~CampaignExecutor() = default;
 
-  // Stable lowercase identifier ("sequential", "sharded", "stealing",
-  // "threadpool", "distributed") — what ParseExecutorKind accepts and
-  // benches/CLIs print.
+  // Stable lowercase identifier ("sequential", "threadpool",
+  // "distributed") — what ParseExecutorKind accepts and benches/CLIs print.
   virtual const char* name() const = 0;
-
-  // True when workers are separate processes, so injected kCrash/kHang
-  // faults exercise real process death / watchdog SIGKILL paths.
-  virtual bool supports_process_faults() const = 0;
-
-  // True when the backend folds in canonical unit order incrementally and
-  // can journal every fold (journal_path / resume / abort_after_folds).
-  virtual bool supports_journal() const = 0;
-
-  // True when the backend accepts any fault plan at all (even thread-mapped).
-  virtual bool supports_fault_injection() const = 0;
 
   // Runs the campaign. The determinism contract: for a fixed (schema,
   // corpus, options), findings, stage counts, and runs_to_first_detection
@@ -117,11 +93,11 @@ class CampaignExecutor {
                              const ExecutorOptions& exec) = 0;
 };
 
-// Factory over the five backends.
+// Factory over the three backends.
 std::unique_ptr<CampaignExecutor> MakeExecutor(ExecutorKind kind);
 
-// Name -> kind ("sequential", "sharded", "stealing", "threadpool",
-// "distributed"); nullopt for anything else.
+// Name -> kind ("sequential", "threadpool", "distributed"); nullopt for
+// anything else.
 std::optional<ExecutorKind> ParseExecutorKind(const std::string& name);
 
 const char* ExecutorKindName(ExecutorKind kind);

@@ -9,22 +9,23 @@
 #endif
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/common/logging.h"
-#include "src/conf/conf_agent.h"
 #include "src/common/strings.h"
+#include "src/conf/conf_agent.h"
 #include "src/core/campaign_agent.h"
 #include "src/core/campaign_journal.h"
+#include "src/core/canonical_fold.h"
 #include "src/core/fabric_wire.h"
 #include "src/core/report_io.h"
 #include "src/core/watchdog.h"
@@ -33,11 +34,6 @@
 namespace zebra {
 
 namespace {
-
-struct WorkUnit {
-  size_t app_index = 0;
-  const UnitTestDef* test = nullptr;
-};
 
 // One unit of in-flight ownership. The lease — not the connection, not the
 // agent — is what folding waits on; everything the requeue path needs to
@@ -63,7 +59,7 @@ struct AgentConn {
   // send. Updated optimistically after a successful batch write; a wrong
   // guess is harmless because the agent nacks anything it cannot apply.
   int64_t snap_epoch = -1;
-  std::set<std::string> snap_set;
+  UnsafeSnapshot snap_set;
 };
 
 // RAII over the whole fleet: every exit path (including exceptions mid-
@@ -99,12 +95,6 @@ struct Fleet {
   }
 };
 
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 int64_t ParseStatLine(const std::string& line, const char* key) {
   std::string prefix = std::string(key) + "=";
   if (line.rfind(prefix, 0) != 0) {
@@ -125,73 +115,24 @@ CampaignReport RunDistributedCampaign(
   if (fabric.pipeline_depth < 1) {
     throw Error("distributed campaign requires pipeline_depth >= 1");
   }
-  auto start = std::chrono::steady_clock::now();
 
-  // Coordinator-side engine: canonical app order and enumeration-stage
-  // counts only; no unit executes in this process.
-  Campaign engine(schema, corpus, std::move(options));
-  const std::vector<std::string>& apps = engine.options().apps;
-  const CampaignOptions& resolved = engine.options();
+  // The canonical fold replays any journal prefix before the fleet exists,
+  // so the remaining dispatch is exactly the uninterrupted campaign's
+  // suffix. No unit executes in this process except the exact re-runs below.
+  CanonicalFold fold("distributed campaign", schema, corpus, std::move(options),
+                     FoldControls{fabric.journal_path, fabric.resume,
+                                  fabric.journal_sync_batch,
+                                  fabric.abort_after_folds});
+  const CampaignOptions& resolved = fold.options();
+  const std::vector<FoldUnit>& units = fold.units();
   const std::string schema_hash =
       HashToHex(HashFnv64(CampaignJournal::Fingerprint(resolved, corpus)));
 
-  std::vector<WorkUnit> units;
-  std::vector<int> units_per_app(apps.size(), 0);
-  for (size_t app_index = 0; app_index < apps.size(); ++app_index) {
-    for (const UnitTestDef* test : corpus.ForApp(apps[app_index])) {
-      units.push_back(WorkUnit{app_index, test});
-      ++units_per_app[app_index];
-    }
-  }
-
-  CampaignFolder folder(schema, resolved);
-  size_t apps_begun = 0;
-  auto begin_apps_through = [&](size_t app_index_exclusive) {
-    while (apps_begun < app_index_exclusive) {
-      const std::string& app = apps[apps_begun];
-      folder.BeginApp(app, engine.generator().OriginalInstanceCount(app),
-                      engine.generator().StaticPrunedInstanceCount(app),
-                      units_per_app[apps_begun]);
-      ++apps_begun;
-    }
-  };
-
-  size_t cursor = 0;
   int64_t hung_workers = 0;
-  int64_t requeued_units = 0;
-  int64_t resumed_units = 0;
   int64_t agent_disconnects = 0;
   int64_t expired_leases = 0;
   int64_t duplicate_results = 0;
-
-  // Journal replay before the fleet exists, so the remaining dispatch is
-  // exactly the uninterrupted campaign's suffix (same shape as the
-  // single-box schedulers; replay and live results share one fold).
-  std::unique_ptr<CampaignJournal> journal;
-  if (!fabric.journal_path.empty()) {
-    journal = std::make_unique<CampaignJournal>(
-        fabric.journal_path, CampaignJournal::Fingerprint(resolved, corpus),
-        fabric.resume, CampaignJournal::SyncPolicy{fabric.journal_sync_batch});
-    for (const auto& [index, unit] : journal->recovered()) {
-      if (index != cursor || cursor >= units.size()) {
-        ZLOG_WARN << "campaign journal: record out of canonical order; "
-                     "ignoring the rest of the recovered prefix";
-        break;
-      }
-      begin_apps_through(units[cursor].app_index + 1);
-      folder.Fold(unit);
-      ++cursor;
-      ++resumed_units;
-    }
-    if (resumed_units > 0) {
-      ZLOG_INFO << "campaign journal: resumed " << resumed_units << " of "
-                << units.size() << " units from " << fabric.journal_path;
-    }
-  }
-
-  size_t remaining = units.size() - cursor;
-  bool stopped = false;  // abort_after_folds hook or cancel_flag
-  std::set<size_t> poisoned;
+  size_t remaining = fold.remaining();
 
   // Per-agent cache stats summed from kStats farewells (shared-cache mode
   // skips per-unit deltas, exactly like the thread-pool scheduler).
@@ -258,10 +199,11 @@ CampaignReport RunDistributedCampaign(
     }
 
     // ---- Handshake: assemble the fleet --------------------------------------
-    double handshake_deadline = NowSeconds() + fabric.handshake_timeout_seconds;
+    double handshake_deadline =
+        CanonicalFold::Now() + fabric.handshake_timeout_seconds;
     std::set<int> seen_indices;
     while (static_cast<int>(fleet.agents.size()) < agent_count) {
-      double left = handshake_deadline - NowSeconds();
+      double left = handshake_deadline - CanonicalFold::Now();
       if (left <= 0) {
         throw Error("distributed campaign: only " +
                     Int64ToString(static_cast<int64_t>(fleet.agents.size())) +
@@ -340,7 +282,7 @@ CampaignReport RunDistributedCampaign(
       conn.fd = fd;
       conn.index = static_cast<int>(index);
       conn.threads = static_cast<int>(threads);
-      conn.last_heartbeat = NowSeconds();
+      conn.last_heartbeat = CanonicalFold::Now();
       conn.alive = true;
       if (fabric.spawn_agents && index >= 0 &&
           static_cast<size_t>(index) < fleet.spawned.size()) {
@@ -356,35 +298,25 @@ CampaignReport RunDistributedCampaign(
     // ---- Dispatch / fold loop -----------------------------------------------
 
     std::deque<size_t> queue;
-    for (size_t i = cursor; i < units.size(); ++i) {
+    for (size_t i = fold.cursor(); i < units.size(); ++i) {
       queue.push_back(i);
     }
-
-    // Every result arrives stamped with the epoch of the snapshot it
-    // actually executed under (the agent reads the freshest applied set at
-    // execution start, not at dispatch); staleness is judged against that
-    // epoch's set, looked up in epoch_sets below.
-    struct BufferedResult {
-      UnitWorkResult unit;
-      int64_t epoch = 0;
-    };
-    std::map<size_t, BufferedResult> buffered;
 
     // Snapshot delta state. The coordinator-side epoch ticks whenever the
     // globally-unsafe set changes (it only ever grows today, but the delta
     // encoding carries removals too); each AgentConn remembers the epoch it
     // last successfully sent, so steady-state dispatches carry a few bytes
-    // of delta instead of the whole set. epoch_sets keeps every epoch's set
-    // for the staleness check — one entry per distinct set the campaign ever
-    // produced, never pruned (bounded by the number of unsafe params found).
+    // of delta instead of the whole set. Every result arrives stamped with
+    // the epoch of the snapshot it actually executed under (the agent reads
+    // the freshest applied set at execution start, not at dispatch), and is
+    // buffered with that epoch's set from epoch_sets — one entry per
+    // distinct set the campaign ever produced, never pruned (bounded by the
+    // number of unsafe params found).
     int64_t coord_epoch = 0;
-    std::set<std::string> coord_set;
-    std::map<int64_t, std::set<std::string>> epoch_sets;
-    epoch_sets[0] = {};
-    std::vector<int> attempts(units.size(), 0);
-    std::vector<double> not_before(units.size(), 0.0);
+    UnsafeSnapshot coord_set = std::make_shared<const std::set<std::string>>();
+    std::map<int64_t, UnsafeSnapshot> epoch_sets;
+    epoch_sets[0] = coord_set;
     std::vector<double> completion_seconds;
-    int live_folds = 0;
 
     auto alive_agents = [&]() {
       int alive = 0;
@@ -394,25 +326,13 @@ CampaignReport RunDistributedCampaign(
       return alive;
     };
 
-    // Requeue one expired lease through the PR 4 policy: bump the attempt,
-    // quarantine past the limit, otherwise back off and head-queue.
+    // Requeue one expired lease through the canonical fold's attempt
+    // policy: head-queue behind a backoff, or quarantine past the limit.
     auto requeue_lease = [&](size_t unit_index) {
       ++expired_leases;
-      ++attempts[unit_index];
-      if (attempts[unit_index] >= resolved.unit_attempt_limit) {
-        ZLOG_WARN << "distributed campaign: unit "
-                  << units[unit_index].test->id << " failed "
-                  << attempts[unit_index]
-                  << " attempts; quarantining as poisoned";
-        poisoned.insert(unit_index);
-        return;
+      if (fold.RecordFailure(unit_index)) {
+        queue.push_front(unit_index);
       }
-      double backoff = std::min(resolved.requeue_backoff_cap_seconds,
-                                resolved.requeue_backoff_seconds *
-                                    std::pow(2.0, attempts[unit_index] - 1));
-      not_before[unit_index] = NowSeconds() + std::max(0.0, backoff);
-      queue.push_front(unit_index);
-      ++requeued_units;
     };
 
     // Retiring an agent is all-or-nothing: every lease it held expires, the
@@ -446,33 +366,21 @@ CampaignReport RunDistributedCampaign(
                 << reason << ", " << alive_agents() << " remaining";
     };
 
-    auto is_stale = [&](const BufferedResult& result) {
-      // The epoch is guaranteed present: the read pass retires any agent
-      // that stamps a result with an epoch this coordinator never issued.
-      const std::set<std::string>& snapshot = epoch_sets.at(result.epoch);
-      for (const std::string& param : result.unit.params_tested) {
-        if (folder.globally_unsafe().count(param) > 0 &&
-            snapshot.count(param) == 0) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    // Local exact re-run for stale cursor units. When the fold reaches a
-    // buffered result whose stamped snapshot missed a now-unsafe parameter,
-    // the unit must re-run — but at the cursor the fold has already folded
-    // every predecessor, so folder.globally_unsafe() IS the exact set a
-    // sequential campaign would hand this unit. Re-running it right here,
-    // in-process, under that set is therefore final (never stale again) and
-    // skips the redispatch round-trip that would otherwise stall the fold —
-    // the dominant tax of speculative execution over a real wire. The
-    // engine is built lazily (most campaigns at depth 1 never need it) and
-    // uncached, so the folded cache counters stay zero as in every
-    // shared-cache scheduler (the agents' farewells own those totals).
+    // Local exact re-run for stale cursor units. The fold and staleness
+    // contract is the thread pool's (canonical_fold.h) — a stale buffered
+    // result never folds — but the remedy differs: stale results stay
+    // buffered until the cursor reaches them, and at the cursor the fold has
+    // already folded every predecessor, so fold.globally_unsafe() IS the
+    // exact set a sequential campaign would hand this unit. Re-running it
+    // right here, in-process, under that set is therefore final (never stale
+    // again) and skips the redispatch round-trip that would otherwise stall
+    // the fold — the dominant tax of speculative execution over a real wire.
+    // The engine is built lazily (most campaigns at depth 1 never need it)
+    // and uncached, so the folded cache counters stay zero as under the
+    // thread pool's shared cache (the agents' farewells own those totals).
     std::unique_ptr<ScopedThreadConfAgent> local_scope;
     std::unique_ptr<Campaign> local_engine;
-    auto rerun_exact = [&](size_t unit_index) {
+    const CanonicalFold::Rerun rerun_exact = [&](size_t unit_index) {
       if (!local_engine) {
         CampaignOptions local_options = resolved;
         local_options.enable_run_cache = false;
@@ -481,64 +389,10 @@ CampaignReport RunDistributedCampaign(
             std::make_unique<Campaign>(schema, corpus, local_options);
       }
       return local_engine->RunUnit(*units[unit_index].test,
-                                   folder.globally_unsafe());
+                                   fold.globally_unsafe());
     };
 
-    // Identical fold/staleness contract to the single-box dynamic
-    // schedulers — a stale buffered result never folds (staleness is
-    // monotone; see parallel_scheduler.cc for the full argument) — but the
-    // remedy differs: stale results stay buffered until the cursor reaches
-    // them and are then re-run locally under the exact fold-point set,
-    // instead of being re-queued to agents for another speculative (and
-    // possibly again-stale) round-trip.
-    auto advance_fold = [&]() {
-      while (cursor < units.size()) {
-        if (poisoned.count(cursor) > 0) {
-          begin_apps_through(units[cursor].app_index + 1);
-          UnitWorkResult stub;
-          stub.app = apps[units[cursor].app_index];
-          stub.test_id = units[cursor].test->id;
-          folder.Fold(stub);
-          if (journal) {
-            journal->Append(cursor, stub);
-          }
-          ++cursor;
-          continue;
-        }
-        auto it = buffered.find(cursor);
-        if (it == buffered.end()) {
-          break;
-        }
-        if (is_stale(it->second)) {
-          ZLOG_INFO << "distributed campaign: re-running unit "
-                    << it->second.unit.test_id
-                    << " locally (stale globally-unsafe snapshot)";
-          it->second.unit = rerun_exact(cursor);
-        }
-        begin_apps_through(units[cursor].app_index + 1);
-        folder.Fold(it->second.unit);
-        if (journal) {
-          journal->Append(cursor, it->second.unit);
-        }
-        buffered.erase(it);
-        ++cursor;
-        ++live_folds;
-        if (fabric.abort_after_folds > 0 &&
-            live_folds >= fabric.abort_after_folds) {
-          stopped = true;  // simulated coordinator crash (test hook)
-          return;
-        }
-      }
-    };
-
-    while (cursor < units.size() && !stopped) {
-      if (resolved.cancel_flag != nullptr && *resolved.cancel_flag != 0) {
-        ZLOG_WARN << "distributed campaign: cancellation requested; stopping "
-                     "after "
-                  << cursor << " of " << units.size() << " units";
-        stopped = true;
-        break;
-      }
+    while (fold.KeepGoing()) {
       if (alive_agents() == 0) {
         throw Error("distributed campaign: all agents died");
       }
@@ -548,11 +402,12 @@ CampaignReport RunDistributedCampaign(
       // start, so any epoch a result can carry names a set the coordinator
       // folded at some earlier point — always a subset of the current
       // globally-unsafe set (the fold only grows it). That is exactly the
-      // validity class of the PR 9 per-lease snapshot; the staleness check
+      // validity class of a per-lease snapshot; the staleness check
       // in advance_fold re-runs anything that missed a param, so findings
       // stay bitwise-identical while far fewer units *are* stale.
-      if (folder.globally_unsafe() != coord_set) {
-        coord_set = folder.globally_unsafe();
+      if (fold.globally_unsafe() != *coord_set) {
+        coord_set = std::make_shared<const std::set<std::string>>(
+            fold.globally_unsafe());
         ++coord_epoch;
         epoch_sets[coord_epoch] = coord_set;
       }
@@ -570,18 +425,13 @@ CampaignReport RunDistributedCampaign(
         const int capacity = agent.threads * fabric.pipeline_depth;
         std::vector<size_t> picked;
         while (static_cast<int>(agent.leases.size() + picked.size()) <
-                   capacity &&
-               !queue.empty()) {
-          double t = NowSeconds();
-          auto next = queue.begin();
-          while (next != queue.end() && not_before[*next] > t) {
-            ++next;
-          }
-          if (next == queue.end()) {
-            break;  // every queued unit is backing off
+               capacity) {
+          std::optional<size_t> next =
+              fold.TakeDispatchable(&queue, CanonicalFold::Now());
+          if (!next) {
+            break;  // empty, or every queued unit is backing off
           }
           picked.push_back(*next);
-          queue.erase(next);
         }
         if (picked.empty() &&
             (agent.snap_epoch == coord_epoch || agent.leases.empty())) {
@@ -597,21 +447,21 @@ CampaignReport RunDistributedCampaign(
           // Fresh connection (or a nack voided its state): full send.
           snapshot_record =
               "-1 " + Int64ToString(coord_epoch) + " F\n" +
-              StrJoin(
-                  std::vector<std::string>(coord_set.begin(), coord_set.end()),
-                  ",");
+              StrJoin(std::vector<std::string>(coord_set->begin(),
+                                               coord_set->end()),
+                      ",");
         } else if (agent.snap_epoch == coord_epoch) {
           snapshot_record = Int64ToString(coord_epoch) + " " +
                             Int64ToString(coord_epoch) + " K\n";
         } else {
           std::vector<std::string> delta;
-          for (const std::string& param : coord_set) {
-            if (agent.snap_set.count(param) == 0) {
+          for (const std::string& param : *coord_set) {
+            if (agent.snap_set->count(param) == 0) {
               delta.push_back("+" + param);
             }
           }
-          for (const std::string& param : agent.snap_set) {
-            if (coord_set.count(param) == 0) {
+          for (const std::string& param : *agent.snap_set) {
+            if (coord_set->count(param) == 0) {
               delta.push_back("-" + param);
             }
           }
@@ -621,7 +471,7 @@ CampaignReport RunDistributedCampaign(
         }
         std::string batch;
         AppendBatchRecord(&batch, snapshot_record);
-        double t = NowSeconds();
+        double t = CanonicalFold::Now();
         double deadline = WatchdogDeadlineSeconds(
             resolved.watchdog_floor_seconds, resolved.watchdog_multiplier,
             completion_seconds);
@@ -633,9 +483,9 @@ CampaignReport RunDistributedCampaign(
         for (size_t unit_index : picked) {
           AppendBatchRecord(
               &batch, Int64ToString(static_cast<int64_t>(unit_index)) + " " +
-                          Int64ToString(attempts[unit_index]));
+                          Int64ToString(fold.attempt(unit_index)));
           Lease lease;
-          lease.attempt = attempts[unit_index];
+          lease.attempt = fold.attempt(unit_index);
           lease.dispatch_seconds = t;
           lease.deadline_seconds = deadline;
           agent.leases[unit_index] = lease;
@@ -691,7 +541,7 @@ CampaignReport RunDistributedCampaign(
           continue;
         }
         if (type == FabricMsg::kHeartbeat) {
-          agent.last_heartbeat = NowSeconds();
+          agent.last_heartbeat = CanonicalFold::Now();
           continue;
         }
         if (type == FabricMsg::kSnapshotNack) {
@@ -772,24 +622,25 @@ CampaignReport RunDistributedCampaign(
             retire_agent(agent, "sent an unparseable result");
             break;
           }
-          if (epoch_sets.count(result_epoch) == 0) {
+          auto epoch_it = epoch_sets.find(result_epoch);
+          if (epoch_it == epoch_sets.end()) {
             // An epoch this coordinator never issued cannot name a valid
             // snapshot — the peer is provably broken, not merely stale.
             retire_agent(agent, "reported an unknown snapshot epoch");
             break;
           }
-          completion_seconds.push_back(NowSeconds() -
+          completion_seconds.push_back(CanonicalFold::Now() -
                                        lease_it->second.dispatch_seconds);
-          buffered[parsed_index] = BufferedResult{std::move(unit), result_epoch};
+          fold.Buffer(parsed_index, std::move(unit), epoch_it->second);
           agent.leases.erase(lease_it);
         }
       }
 
       // Watchdog: any lease past its deadline means a unit is stuck on a
       // live, heartbeating host (an in-agent hang blocks one worker thread,
-      // not the heartbeat thread) — the whole agent is retired, as the
-      // forked scheduler SIGKILLs a hung worker.
-      double now = NowSeconds();
+      // not the heartbeat thread) — the whole agent is retired and its
+      // process SIGKILLed.
+      double now = CanonicalFold::Now();
       for (AgentConn& agent : fleet.agents) {
         if (!agent.alive) {
           continue;
@@ -817,7 +668,7 @@ CampaignReport RunDistributedCampaign(
         }
       }
 
-      advance_fold();
+      fold.Advance(rerun_exact);
     }
 
     // ---- Graceful shutdown --------------------------------------------------
@@ -833,8 +684,8 @@ CampaignReport RunDistributedCampaign(
         continue;
       }
       bool got_farewell = false;
-      double drain_deadline = NowSeconds() + 10.0;
-      while (NowSeconds() < drain_deadline) {
+      double drain_deadline = CanonicalFold::Now() + 10.0;
+      while (CanonicalFold::Now() < drain_deadline) {
         struct pollfd pfd = {agent.fd, POLLIN, 0};
         int ready;
         do {
@@ -889,41 +740,24 @@ CampaignReport RunDistributedCampaign(
     }
   }
 
-  if (!stopped) {
-    // Apps with zero units (or nothing at all to run) still appear in the
-    // report with their enumeration-stage counts, as in the sequential run.
-    begin_apps_through(apps.size());
-  }
-
-  folder.report().hung_workers = hung_workers;
-  folder.report().requeued_units = requeued_units;
-  folder.report().resumed_units = resumed_units;
-  folder.report().agent_disconnects = agent_disconnects;
-  folder.report().expired_leases = expired_leases;
-  folder.report().duplicate_results = duplicate_results;
-  if (journal) {
-    journal->Flush();
-    folder.report().journal_append_failures = journal->append_failures();
-  }
-  for (size_t unit_index : poisoned) {
-    folder.report().poisoned_units.push_back(units[unit_index].test->id);
-  }
+  CampaignReport& report = fold.report();
+  report.hung_workers = hung_workers;
+  report.agent_disconnects = agent_disconnects;
+  report.expired_leases = expired_leases;
+  report.duplicate_results = duplicate_results;
   if (resolved.enable_run_cache) {
     // Shared-cache mode skips per-unit deltas, so the folded counters are
     // zero; fill totals from the agents' farewells. Agents that died before
     // shutdown never reported — accounting, not a determinism surface.
-    folder.report().cache_hits = cache_hits;
-    folder.report().cache_misses = cache_misses;
-    folder.report().equiv_hits = equiv_hits;
-    folder.report().canonicalized_plans = canonicalized_plans;
-    folder.report().mispredictions = mispredictions;
-    folder.report().cache_evictions = cache_evictions;
-    folder.report().cache_load_failures = cache_load_failures;
+    report.cache_hits = cache_hits;
+    report.cache_misses = cache_misses;
+    report.equiv_hits = equiv_hits;
+    report.canonicalized_plans = canonicalized_plans;
+    report.mispredictions = mispredictions;
+    report.cache_evictions = cache_evictions;
+    report.cache_load_failures = cache_load_failures;
   }
-  folder.report().wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return folder.Finish();
+  return fold.Finish();
 }
 
 }  // namespace zebra

@@ -16,8 +16,8 @@
 // its workers from idling between frames. A lease ends exactly one of
 // these ways:
 //   * a kResultBatch record with the matching (unit, attempt): the result
-//     is buffered for canonical folding (speculative-snapshot staleness
-//     rules unchanged from the single-box schedulers).
+//     is buffered for canonical folding (the speculative-snapshot
+//     staleness rules of canonical_fold.h).
 //   * a kSnapshotNack record with the matching (unit, attempt): the agent
 //     refused to run it (epoch mismatch — it could not prove its
 //     globally-unsafe set current). The unit re-enters the queue through
@@ -27,7 +27,7 @@
 //     silence past heartbeat_timeout_seconds, or any lease past its
 //     watchdog deadline (a hung unit on a live, heartbeating host). Every
 //     lease the agent held expires (++expired_leases) and re-enters the
-//     queue through the PR 4 attempt/backoff/quarantine policy.
+//     queue through the canonical fold's attempt/backoff/quarantine policy.
 //   * A result record that matches no live lease — the duplicate a
 //     reassigned or re-sent unit can produce — is dropped idempotently
 //     (++duplicate_results). Folding is driven only by live leases, so a
@@ -36,9 +36,9 @@
 // per-lease surgical recovery on a half-broken connection is exactly the
 // "partially trusted peer" state the wire protocol refuses to have.
 //
-// Determinism. The fold is the same CampaignFolder in the same canonical
-// order with the same staleness rule as every other backend, and journal/
-// resume appends at fold time exactly as the single-box schedulers do — so
+// Determinism. The fold is the thread pool's CanonicalFold
+// (canonical_fold.h): the same CampaignFolder in the same canonical order
+// with the same staleness rule, and journal/resume appends at fold time — so
 // findings, Table-5 stats, and runs_to_first_detection are bitwise-identical
 // to `Campaign(...).Run()` at every fleet shape, under every injected
 // network fault, and across a coordinator restart (CI-gated).
@@ -62,9 +62,9 @@ struct DistributedCampaignOptions {
   // Lease pipelining: the coordinator keeps up to depth x agent_threads
   // leases in flight per agent, so a worker thread finishing a unit always
   // finds the next one already queued locally instead of stalling a network
-  // round trip. 1 = the PR 9 lockstep behavior. Watchdog deadlines scale by
-  // the same factor (a dispatched unit may legitimately wait behind depth-1
-  // queued units per thread before it starts).
+  // round trip. 1 = one lease per thread (lockstep). Watchdog deadlines
+  // scale by the same factor (a dispatched unit may legitimately wait behind
+  // depth-1 queued units per thread before it starts).
   int pipeline_depth = 2;
 
   // Fork local agent processes (single-box mode). When false the coordinator
@@ -99,8 +99,8 @@ struct DistributedCampaignOptions {
   // same schema/corpus then start warm (campaign_agent.h, "Warm starts").
   std::string agent_cache_dir;
 
-  // Crash-safe journal + resume, same contract as the single-box dynamic
-  // schedulers: append at fold time, replay the valid prefix on resume.
+  // Crash-safe journal + resume, same contract as the thread pool: append
+  // at fold time, replay the valid prefix on resume.
   std::string journal_path;
   bool resume = false;
   int journal_sync_batch = 1;

@@ -32,32 +32,25 @@ double Coin(uint64_t seed, FaultKind kind, const std::string& test_id,
   return static_cast<double>(digest >> 11) / 9007199254740992.0;
 }
 
-}  // namespace
-
-bool FaultPlan::DecideKind(FaultKind kind, int worker, const std::string& test_id,
-                           int attempt, FaultSpec* out) const {
-  for (const FaultSpec& spec : specs) {
-    if (spec.kind == kind && SpecMatches(spec, worker, test_id, attempt)) {
-      *out = spec;
-      return true;
-    }
-  }
+// Random mode for one kind: fires with the kind's rate at this coordinate.
+bool DecideRandom(const FaultPlan& plan, FaultKind kind, int worker,
+                  const std::string& test_id, int attempt, FaultSpec* out) {
   double rate = 0.0;
   switch (kind) {
     case FaultKind::kCrash:
-      rate = crash_rate;
+      rate = plan.crash_rate;
       break;
     case FaultKind::kHang:
-      rate = hang_rate;
+      rate = plan.hang_rate;
       break;
     case FaultKind::kGarbledFrame:
-      rate = garble_rate;
+      rate = plan.garble_rate;
       break;
     case FaultKind::kSlowWorker:
       rate = 0.0;  // random mode never slows; use an explicit spec
       break;
   }
-  if (rate > 0.0 && Coin(seed, kind, test_id, attempt) < rate) {
+  if (rate > 0.0 && Coin(plan.seed, kind, test_id, attempt) < rate) {
     out->kind = kind;
     out->test_id = test_id;
     out->worker = worker;
@@ -66,6 +59,8 @@ bool FaultPlan::DecideKind(FaultKind kind, int worker, const std::string& test_i
   }
   return false;
 }
+
+}  // namespace
 
 bool FaultPlan::Decide(int worker, const std::string& test_id, int attempt,
                        FaultSpec* out) const {
@@ -78,7 +73,7 @@ bool FaultPlan::Decide(int worker, const std::string& test_id, int attempt,
   }
   for (FaultKind kind :
        {FaultKind::kCrash, FaultKind::kHang, FaultKind::kGarbledFrame}) {
-    if (DecideKind(kind, worker, test_id, attempt, out)) {
+    if (DecideRandom(*this, kind, worker, test_id, attempt, out)) {
       return true;
     }
   }

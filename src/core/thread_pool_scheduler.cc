@@ -5,32 +5,22 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "src/common/error.h"
 #include "src/common/logging.h"
-#include "src/core/campaign_journal.h"
+#include "src/core/canonical_fold.h"
 
 namespace zebra {
 
 namespace {
-
-struct WorkUnit {
-  size_t app_index = 0;
-  const UnitTestDef* test = nullptr;
-};
-
-// An immutable globally-unsafe set as the coordinator published it. Workers
-// and buffered results share one instance instead of copying the set.
-using UnsafeSnapshot = std::shared_ptr<const std::set<std::string>>;
 
 // One pre-sized slot per unit: the lock-free delivery channel. A unit is
 // in flight on at most one worker at a time (the queue hands it out once,
@@ -45,12 +35,6 @@ struct ResultSlot {
   bool hang = false;        // kHang specifically (hung_workers count)
   std::atomic<bool> ready{false};
 };
-
-double NowSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -69,75 +53,26 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   if (pool.workers < 1) {
     throw Error("thread-pool campaign requires at least one worker");
   }
-  auto start = std::chrono::steady_clock::now();
 
-  // Coordinator-side engine: resolves the canonical app order and supplies
-  // enumeration-stage counts, exactly as the forked schedulers' parent does.
-  // No unit-test executions happen on the coordinator thread.
-  Campaign coordinator_engine(schema, corpus, std::move(options));
-  const std::vector<std::string>& apps = coordinator_engine.options().apps;
-  const CampaignOptions& resolved = coordinator_engine.options();
+  // The canonical fold replays any journal prefix before a worker starts,
+  // so the remaining dispatch is exactly the uninterrupted campaign's
+  // suffix. No unit-test executions happen on the coordinator thread.
+  CanonicalFold fold("thread-pool campaign", schema, corpus, std::move(options),
+                     FoldControls{pool.journal_path, pool.resume,
+                                  pool.journal_sync_batch,
+                                  pool.abort_after_folds});
+  const CampaignOptions& resolved = fold.options();
+  const std::vector<FoldUnit>& units = fold.units();
 
-  std::vector<WorkUnit> units;
-  std::vector<int> units_per_app(apps.size(), 0);
-  for (size_t app_index = 0; app_index < apps.size(); ++app_index) {
-    for (const UnitTestDef* test : corpus.ForApp(apps[app_index])) {
-      units.push_back(WorkUnit{app_index, test});
-      ++units_per_app[app_index];
-    }
-  }
-
-  CampaignFolder folder(schema, resolved);
-  size_t apps_begun = 0;
-  auto begin_apps_through = [&](size_t app_index_exclusive) {
-    while (apps_begun < app_index_exclusive) {
-      const std::string& app = apps[apps_begun];
-      folder.BeginApp(app,
-                      coordinator_engine.generator().OriginalInstanceCount(app),
-                      coordinator_engine.generator().StaticPrunedInstanceCount(app),
-                      units_per_app[apps_begun]);
-      ++apps_begun;
-    }
-  };
-
-  size_t cursor = 0;
-  int64_t hung_workers = 0;
-  int64_t requeued_units = 0;
-  int64_t resumed_units = 0;
-
-  // Journal replay before any worker starts, so the remaining dispatch is
-  // exactly the uninterrupted campaign's suffix (same code shape as the
-  // forked scheduler — replay and live results go through one fold).
-  std::unique_ptr<CampaignJournal> journal;
-  if (!pool.journal_path.empty()) {
-    journal = std::make_unique<CampaignJournal>(
-        pool.journal_path, CampaignJournal::Fingerprint(resolved, corpus),
-        pool.resume, CampaignJournal::SyncPolicy{pool.journal_sync_batch});
-    for (const auto& [index, unit] : journal->recovered()) {
-      if (index != cursor || cursor >= units.size()) {
-        ZLOG_WARN << "campaign journal: record out of canonical order; "
-                     "ignoring the rest of the recovered prefix";
-        break;
-      }
-      begin_apps_through(units[cursor].app_index + 1);
-      folder.Fold(unit);
-      ++cursor;
-      ++resumed_units;
-    }
-    if (resumed_units > 0) {
-      ZLOG_INFO << "campaign journal: resumed " << resumed_units << " of "
-                << units.size() << " units from " << pool.journal_path;
-    }
-  }
-
-  size_t remaining = units.size() - cursor;
+  size_t remaining = fold.remaining();
   int worker_count =
       std::min<int>(pool.workers, std::max<size_t>(remaining, 1));
+  int64_t hung_workers = 0;
 
   // The shared cross-worker cache. Workers route executions through it via
   // Campaign::UseSharedRunCache; RunCache is internally synchronized.
   std::unique_ptr<RunCache> shared_cache;
-  if (resolved.enable_run_cache && pool.share_run_cache) {
+  if (resolved.enable_run_cache) {
     shared_cache = std::make_unique<RunCache>(
         RunCache::Limits{resolved.cache_max_entries, resolved.cache_max_bytes});
   }
@@ -146,17 +81,16 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   std::mutex queue_mutex;
   std::condition_variable queue_cv;  // workers wait here for work / stop
   std::deque<size_t> queue;
-  std::vector<int> attempts(units.size(), 0);
-  std::vector<double> not_before(units.size(), 0.0);
   // Coordinator's current globally-unsafe set, shared with dispatches by
   // pointer. Republished under queue_mutex only when a fold advance grew the
   // set, so a worker's snapshot is always some prefix-fold state — a subset
   // of the exact sequential set for any unit still queued (the staleness
-  // invariant).
-  UnsafeSnapshot published_unsafe;
+  // invariant, canonical_fold.h).
+  UnsafeSnapshot published_unsafe =
+      std::make_shared<const std::set<std::string>>(fold.globally_unsafe());
   bool stop = false;
 
-  for (size_t i = cursor; i < units.size(); ++i) {
+  for (size_t i = fold.cursor(); i < units.size(); ++i) {
     queue.push_back(i);
   }
 
@@ -191,20 +125,12 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           if (stop) {
             return;
           }
-          // First dispatchable unit: queue order preserved, backoff-held
-          // units skipped (the forked scheduler's dispatch rule).
-          double now = NowSeconds();
+          double now = CanonicalFold::Now();
           double earliest_release = -1.0;
-          auto it = queue.begin();
-          while (it != queue.end() && not_before[*it] > now) {
-            earliest_release = earliest_release < 0
-                                   ? not_before[*it]
-                                   : std::min(earliest_release, not_before[*it]);
-            ++it;
-          }
-          if (it != queue.end()) {
-            unit_index = *it;
-            queue.erase(it);
+          std::optional<size_t> next =
+              fold.TakeDispatchable(&queue, now, &earliest_release);
+          if (next) {
+            unit_index = *next;
             break;
           }
           if (earliest_release < 0) {
@@ -216,11 +142,11 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
                                         earliest_release - now));
           }
         }
-        attempt = attempts[unit_index];
+        attempt = fold.attempt(unit_index);
         snapshot = published_unsafe;
       }
 
-      const WorkUnit& work = units[unit_index];
+      const FoldUnit& work = units[unit_index];
       ResultSlot& slot = slots[unit_index];
       slot.failed = false;
       slot.hang = false;
@@ -241,7 +167,7 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           case FaultKind::kHang:
             // No watchdog in-process (a thread cannot be SIGKILLed), so a
             // hang injects as an immediately-detected failed attempt; the
-            // forked schedulers remain the real-hang testbed.
+            // fabric's lease watchdog is the real-hang testbed.
             slot.failed = true;
             slot.hang = true;
             skip_execution = true;
@@ -316,11 +242,6 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
     }
   } joiner{threads, queue_mutex, queue_cv, stop};
 
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex);
-    published_unsafe =
-        std::make_shared<const std::set<std::string>>(folder.globally_unsafe());
-  }
   threads.reserve(static_cast<size_t>(worker_count));
   if (remaining > 0) {
     for (int i = 0; i < worker_count; ++i) {
@@ -330,138 +251,41 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
 
   // ---- Coordinator: consume deliveries, fold canonically --------------------
 
-  struct BufferedResult {
-    UnitWorkResult unit;
-    UnsafeSnapshot snapshot;
-  };
-  std::map<size_t, BufferedResult> buffered;
-  std::set<size_t> poisoned;
-  int live_folds = 0;
-  bool stopped = false;  // abort_after_folds hook or cancel_flag
-
-  // Shared requeue path for every failed attempt (injected crash/hang/garble,
-  // escaped exception): quarantine after unit_attempt_limit attempts,
-  // otherwise re-queue at the head behind a capped exponential backoff —
-  // identical policy to the forked scheduler.
-  auto handle_failed_attempt = [&](size_t unit_index) {
-    ++attempts[unit_index];
-    if (attempts[unit_index] >= resolved.unit_attempt_limit) {
-      ZLOG_WARN << "thread-pool campaign: unit " << units[unit_index].test->id
-                << " failed " << attempts[unit_index]
-                << " attempts; quarantining as poisoned";
-      poisoned.insert(unit_index);
-      return;
-    }
-    double backoff = std::min(resolved.requeue_backoff_cap_seconds,
-                              resolved.requeue_backoff_seconds *
-                                  std::pow(2.0, attempts[unit_index] - 1));
-    {
-      std::lock_guard<std::mutex> lock(queue_mutex);
-      not_before[unit_index] = NowSeconds() + std::max(0.0, backoff);
-      queue.push_front(unit_index);
-      ++requeued_units;
-    }
-    queue_cv.notify_one();
-  };
-
-  // Staleness: a parameter the unit actually tested became globally unsafe
-  // outside its dispatch snapshot — the exact sequential run would have
-  // excluded it, so the speculative result must be discarded and re-run.
-  // Snapshots are fold prefixes of a monotone set, so one as large as the
-  // folder's current set *is* that set and nothing can be stale.
-  auto is_stale = [&](const BufferedResult& result) {
-    const std::set<std::string>& unsafe = folder.globally_unsafe();
-    if (result.snapshot->size() == unsafe.size()) {
-      return false;
-    }
-    for (const std::string& param : result.unit.params_tested) {
-      if (unsafe.count(param) > 0 && result.snapshot->count(param) == 0) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  // Folds every buffered result the canonical order allows, then eagerly
-  // re-queues EVERY stale buffered result (staleness is monotone — see the
-  // forked scheduler for the full argument). Poisoned units fold as empty
-  // stubs. A fold that grew the globally-unsafe set republishes the workers'
-  // snapshot.
+  // Folds every result the canonical order allows, then eagerly re-queues
+  // EVERY stale buffered result (staleness is monotone, so each is provably
+  // stale at its own fold turn). A fold that grew the globally-unsafe set
+  // republishes the workers' snapshot.
   auto advance_fold = [&]() {
-    while (cursor < units.size()) {
-      if (poisoned.count(cursor) > 0) {
-        begin_apps_through(units[cursor].app_index + 1);
-        UnitWorkResult stub;
-        stub.app = apps[units[cursor].app_index];
-        stub.test_id = units[cursor].test->id;
-        folder.Fold(stub);
-        if (journal) {
-          journal->Append(cursor, stub);
-        }
-        ++cursor;
-        continue;
-      }
-      auto it = buffered.find(cursor);
-      if (it == buffered.end() || is_stale(it->second)) {
-        break;
-      }
-      begin_apps_through(units[cursor].app_index + 1);
-      folder.Fold(it->second.unit);
-      if (journal) {
-        journal->Append(cursor, it->second.unit);
-      }
-      buffered.erase(it);
-      ++cursor;
-      ++live_folds;
-      if (pool.abort_after_folds > 0 && live_folds >= pool.abort_after_folds) {
-        stopped = true;  // simulated coordinator crash (test hook)
-        break;
-      }
-    }
-    std::vector<size_t> stale_units;
-    for (const auto& [index, result] : buffered) {
-      if (is_stale(result)) {
-        stale_units.push_back(index);
-      }
-    }
+    fold.Advance();
+    std::vector<size_t> stale_units = fold.TakeStale();
     // The new snapshot is built outside the lock; publishing is a pointer
     // swap.
     UnsafeSnapshot grown;
-    if (folder.globally_unsafe().size() != published_unsafe->size()) {
-      grown = std::make_shared<const std::set<std::string>>(folder.globally_unsafe());
+    if (fold.globally_unsafe().size() != published_unsafe->size()) {
+      grown = std::make_shared<const std::set<std::string>>(fold.globally_unsafe());
     }
-    bool requeued_any = false;
-    if (!stale_units.empty() || grown != nullptr) {
+    if (stale_units.empty() && grown == nullptr) {
+      return;
+    }
+    {
       std::lock_guard<std::mutex> lock(queue_mutex);
       // push_front in descending order keeps the re-queued wave in canonical
       // order at the head (the fold is waiting on the smallest index).
       for (auto it = stale_units.rbegin(); it != stale_units.rend(); ++it) {
-        ZLOG_INFO << "thread-pool campaign: re-running unit "
-                  << buffered.at(*it).unit.test_id
-                  << " (stale globally-unsafe snapshot)";
-        buffered.erase(*it);
         slots[*it].ready.store(false, std::memory_order_relaxed);
         queue.push_front(*it);
-        requeued_any = true;
       }
       if (grown != nullptr) {
         published_unsafe = std::move(grown);
       }
     }
-    if (requeued_any) {
+    if (!stale_units.empty()) {
       queue_cv.notify_all();
     }
   };
 
   std::vector<size_t> delivered;
-  while (cursor < units.size() && !stopped) {
-    if (resolved.cancel_flag != nullptr && *resolved.cancel_flag != 0) {
-      ZLOG_WARN << "thread-pool campaign: cancellation requested; stopping "
-                   "after "
-                << cursor << " of " << units.size() << " units";
-      stopped = true;
-      break;
-    }
+  while (fold.KeepGoing()) {
     if (alive_workers.load(std::memory_order_acquire) == 0) {
       // Drain any deliveries the dying workers published first; if the fold
       // still cannot complete, the campaign is stuck.
@@ -500,58 +324,45 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
         continue;  // unreachable: an index is listed only after publication
       }
       slot.ready.store(false, std::memory_order_relaxed);
-      if (slot.failed) {
-        if (slot.hang) {
-          ++hung_workers;
+      if (!slot.failed) {
+        fold.Buffer(i, std::move(slot.unit), std::move(slot.snapshot));
+        continue;
+      }
+      if (slot.hang) {
+        ++hung_workers;
+      }
+      // A failed attempt (injected crash/hang/garble, escaped exception)
+      // goes back to the head of the queue behind its backoff, or is
+      // quarantined at the attempt limit.
+      if (fold.RecordFailure(i)) {
+        {
+          std::lock_guard<std::mutex> lock(queue_mutex);
+          queue.push_front(i);
         }
-        handle_failed_attempt(i);
-      } else {
-        buffered[i] =
-            BufferedResult{std::move(slot.unit), std::move(slot.snapshot)};
+        queue_cv.notify_one();
       }
     }
 
     advance_fold();
   }
 
-  if (!stopped) {
-    // Apps with zero units (or nothing at all to run) still appear in the
-    // report with their enumeration-stage counts, as in the sequential run.
-    begin_apps_through(apps.size());
-  }
-
-  folder.report().hung_workers = hung_workers;
-  folder.report().requeued_units = requeued_units;
-  folder.report().resumed_units = resumed_units;
-  if (journal) {
-    // Flush any batched records before reading the failure counter so a
-    // clean exit never leaves an unsynced tail and a sync error here is
-    // still accounted.
-    journal->Flush();
-    folder.report().journal_append_failures = journal->append_failures();
-  }
-  for (size_t unit_index : poisoned) {
-    folder.report().poisoned_units.push_back(units[unit_index].test->id);
-  }
+  fold.report().hung_workers = hung_workers;
   if (shared_cache != nullptr) {
     // Under a shared cache the per-unit deltas are skipped (see
     // Campaign::RunUnit), so the folded counters are zero; fill the totals
-    // once from the one cache all workers used. Like the forked schedulers'
-    // per-worker counters these are accounting, not part of the determinism
-    // contract — hit/miss splits depend on scheduling.
+    // once from the one cache all workers used. These are accounting, not
+    // part of the determinism contract — hit/miss splits depend on
+    // scheduling.
     RunCache::Stats stats = shared_cache->stats();
-    folder.report().cache_hits = stats.hits;
-    folder.report().cache_misses = stats.misses;
-    folder.report().equiv_hits = stats.equiv_hits;
-    folder.report().canonicalized_plans = stats.canonicalized_plans;
-    folder.report().mispredictions = stats.mispredictions;
-    folder.report().cache_evictions = stats.evictions;
-    folder.report().cache_load_failures = stats.load_failures;
+    fold.report().cache_hits = stats.hits;
+    fold.report().cache_misses = stats.misses;
+    fold.report().equiv_hits = stats.equiv_hits;
+    fold.report().canonicalized_plans = stats.canonicalized_plans;
+    fold.report().mispredictions = stats.mispredictions;
+    fold.report().cache_evictions = stats.evictions;
+    fold.report().cache_load_failures = stats.load_failures;
   }
-  folder.report().wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return folder.Finish();
+  return fold.Finish();
 }
 
 }  // namespace zebra

@@ -1,16 +1,15 @@
-// In-process thread-pool campaign scheduler: the work-stealing campaign
-// without the forks.
+// In-process thread-pool campaign scheduler: the single-box engine.
 //
-// The forked schedulers (sharded_campaign.h, parallel_scheduler.h) buy
-// isolation with address-space copies: every worker process gets its own
-// ConfAgent singleton, its own run cache, its own everything — at the cost of
-// a fork per worker, a pipe round-trip per unit, and a full serialize/parse
-// of every UnitWorkResult. On the native corpus (~53us per unit-test run)
-// that overhead is comparable to the work itself, which is the native-regime
-// performance gap this runner closes.
+// Worker threads pull (app, unit-test) work units from a queue, run them
+// speculatively, and hand results to a coordinator that folds them in
+// canonical unit order through CanonicalFold (canonical_fold.h). Compared
+// with forked workers there is no fork per worker, no pipe round-trip per
+// unit, and no serialize/parse of every UnitWorkResult — on the native
+// corpus (tens of microseconds per unit-test run) that overhead would be
+// comparable to the work itself.
 //
-// Isolation without processes. Everything a forked worker relied on the
-// address-space copy for is now per-thread:
+// Isolation without processes. Everything a forked worker would get from
+// its address-space copy is per-thread here:
 //
 //   * ConfAgent — each worker installs a ScopedThreadConfAgent, so
 //     ConfAgent::Current() resolves to a private agent (own sessions, own
@@ -22,27 +21,22 @@
 //     worker's installation windows never leak across threads.
 //   * SimClock/Cluster — already per-TestContext; nothing to do.
 //
-// What *is* shared is chosen, not accidental: one internally synchronized
-// RunCache serves all workers (share_run_cache), so a result computed by one
-// worker is a hit for every other — strictly better than the forked
-// schedulers' per-process caches, which recompute each other's entries.
+// What *is* shared is chosen, not accidental: when the campaign enables a
+// run cache, one internally synchronized RunCache serves all workers, so a
+// result computed by one worker is a hit for every other.
 //
-// Determinism is inherited unchanged from the work-stealing design: workers
-// run units speculatively under a snapshot of the globally-unsafe set, a
-// coordinator folds results with CampaignFolder in canonical unit order, and
-// any buffered result whose snapshot is stale (a parameter it tested became
-// globally unsafe outside the snapshot) is discarded and re-run. Findings,
-// Table-5 stage counts, and runs_to_first_detection are bitwise-identical to
+// Determinism: workers run units under a snapshot of the globally-unsafe
+// set, the coordinator folds in canonical order, and any buffered result
+// whose snapshot is stale is discarded; every stale result is re-queued at
+// once (canonical_fold.h has the staleness argument). Findings, Table-5
+// stage counts, and runs_to_first_detection are bitwise-identical to
 // Campaign(...).Run() at every thread count.
 //
 // Snapshot delivery is by reference: the coordinator publishes the
-// globally-unsafe set as a std::shared_ptr<const std::set<std::string>>, and
-// every dispatch hands the worker that pointer — never a copy of the set. A
-// new snapshot is published only when a fold actually grew the set. Because
-// every snapshot is a fold prefix of a set that only grows, a buffered
-// result whose snapshot has the folder's current size ran under exactly the
-// current set and cannot be stale; only smaller snapshots are checked
-// parameter by parameter.
+// globally-unsafe set as an UnsafeSnapshot, and every dispatch hands the
+// worker that pointer — never a copy of the set. A new snapshot is
+// published only when a fold actually grew the set, which keeps the
+// staleness check's equal-size fast path hot.
 //
 // Result delivery: one pre-sized slot per unit; a worker writes the result
 // into its unit's slot, publishes with a release store on the slot's ready
@@ -55,20 +49,20 @@
 // Fault tolerance. The fault-injection vocabulary (fault_injection.h) maps to
 // threads as follows: kCrash terminates the worker *thread* after reporting a
 // failed attempt (the thread analog of a dead process — remaining workers
-// absorb the queue; all workers dead throws, as in the forked scheduler);
-// kGarbledFrame reports a failed attempt (there is no frame to garble — the
-// delivery path is typed, which is precisely what the forked runner's parse
-// failures defended against); kHang reports a failed attempt immediately and
-// is counted in hung_workers. There is no watchdog: a thread cannot be
-// SIGKILLed without taking down the process, so a *real* runaway unit is the
-// forked schedulers' territory — they remain the process-fault testbed
-// (docs/ROBUSTNESS.md). Failed attempts feed the same requeue/backoff/
-// quarantine machinery: a unit failing unit_attempt_limit attempts is
-// quarantined into poisoned_units and folds as an empty stub.
+// absorb the queue; all workers dead throws); kGarbledFrame reports a failed
+// attempt (there is no frame to garble — the delivery path is typed);
+// kHang reports a failed attempt immediately and is counted in
+// hung_workers. There is no watchdog: a thread cannot be SIGKILLed without
+// taking down the process, so a *real* runaway unit is the distributed
+// fabric's territory — its forked agents and lease watchdog are the
+// process-fault testbed (distributed_campaign.h, docs/ROBUSTNESS.md).
+// Failed attempts go through CanonicalFold's requeue/backoff/quarantine
+// policy: a unit failing unit_attempt_limit attempts is quarantined into
+// poisoned_units and folds as an empty stub.
 //
-// Crash safety: the journal/resume contract is identical to the forked
-// scheduler's (campaign_journal.h) — every folded result is appended at fold
-// time, resume replays the valid prefix through the same fold.
+// Crash safety: with journal_path set, every folded result is appended at
+// fold time and resume replays the valid prefix through the same fold
+// (campaign_journal.h).
 
 #ifndef SRC_CORE_THREAD_POOL_SCHEDULER_H_
 #define SRC_CORE_THREAD_POOL_SCHEDULER_H_
@@ -89,25 +83,21 @@ struct ThreadPoolCampaignOptions {
   // above. Empty = no injected faults.
   FaultPlan faults;
 
-  // Crash-safe journal (campaign_journal.h), same contract as the forked
-  // scheduler: non-empty appends every folded unit result; resume=true
-  // replays an existing journal's valid prefix instead of re-executing.
+  // Crash-safe journal (campaign_journal.h): non-empty appends every folded
+  // unit result; resume=true replays an existing journal's valid prefix
+  // instead of re-executing. A fingerprint mismatch (different apps, corpus,
+  // or result-affecting options) throws.
   std::string journal_path;
   bool resume = false;
 
-  // Journal durability: records per fdatasync (group commit), same contract
-  // as the forked scheduler. 1 = sync every append (default).
+  // Journal durability: records per fdatasync (group commit). 1 = sync every
+  // append (the default); N trades at most the last N-1 unsynced records of
+  // resume coverage for fewer disk barriers. Never affects findings.
   int journal_sync_batch = 1;
 
   // Test hook simulating a coordinator crash: stop dispatching and return
   // after this many *live* folds (journal replay does not count).
   int abort_after_folds = 0;
-
-  // When the campaign options enable a run cache, share one internally
-  // synchronized cache across all workers instead of one cache per worker
-  // engine. Cross-worker sharing can only add hits (a served result is
-  // bitwise what a re-execution would produce), never change findings.
-  bool share_run_cache = true;
 };
 
 // Runs the campaign over `workers` in-process threads pulling (app,

@@ -801,8 +801,6 @@ TEST(DistributedExecutorTest, RegisteredAndBitwiseIdentical) {
 
   auto executor = MakeExecutor(ExecutorKind::kDistributed);
   EXPECT_EQ(std::string(executor->name()), "distributed");
-  EXPECT_TRUE(executor->supports_journal());
-  EXPECT_TRUE(executor->supports_fault_injection());
 
   ExecutorOptions exec;
   exec.workers = 2;  // agents, for the distributed backend
@@ -832,14 +830,14 @@ TEST(DistributedExecutorTest, SingleBoxBackendsRefuseFabricOptions) {
   ExecutorOptions listen;
   listen.workers = 2;
   listen.listen_address = ":9009";
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSharded)
+  EXPECT_THROW(MakeExecutor(ExecutorKind::kThreadPool)
                    ->Run(FullSchema(), FullCorpus(), options, listen),
                Error);
 
   ExecutorOptions depth;
-  depth.workers = 2;
+  depth.workers = 1;
   depth.pipeline_depth = 2;
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kStealing)
+  EXPECT_THROW(MakeExecutor(ExecutorKind::kSequential)
                    ->Run(FullSchema(), FullCorpus(), options, depth),
                Error);
 

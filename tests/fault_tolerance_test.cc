@@ -7,10 +7,18 @@
 // uninterrupted sequential campaign (CI-gated via the *BitwiseIdentical*
 // filter).
 //
+// Every FaultToleranceTest case runs once per speculative backend, through
+// MakeExecutor: the thread pool, which maps each fault to a failed attempt
+// of a worker thread, and the distributed fabric, whose forked agents take
+// the faults for real — an agent process _Exits, a worker thread hangs until
+// the lease watchdog retires its agent, an agent writes a garbled frame.
+// Fabric agents run one thread with one lease in flight, so retiring an
+// agent expires exactly the faulted unit's lease.
+//
 // Note on worker budgets: the pool is fixed — a crash, garble, or watchdog
-// SIGKILL permanently retires one worker (the scheduler throws only when
-// none remain) — so each test provisions one more worker than the faults it
-// injects.
+// retirement permanently removes one worker thread or agent (the engine
+// throws only when none remain) — so each test provisions one more worker
+// than the faults it injects.
 
 #include <sys/stat.h>
 
@@ -21,9 +29,9 @@
 #include <string>
 
 #include "src/common/error.h"
+#include "src/core/campaign_executor.h"
 #include "src/core/campaign_journal.h"
 #include "src/core/fault_injection.h"
-#include "src/core/parallel_scheduler.h"
 #include "src/core/watchdog.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/unit_test_registry.h"
@@ -32,7 +40,7 @@ namespace zebra {
 namespace {
 
 // Full structural equality against the sequential reference (same contract
-// as parallel_scheduler_test.cc). Durations, wall-clock, and the
+// as thread_pool_scheduler_test.cc). Durations, wall-clock, and the
 // fault-tolerance counters themselves are accounting, not results.
 void ExpectIdenticalResults(const CampaignReport& actual,
                             const CampaignReport& expected,
@@ -177,119 +185,139 @@ TEST(WatchdogTest, Percentile95RankSelection) {
   EXPECT_DOUBLE_EQ(Percentile95(twenty), 19.0);
 }
 
-TEST(FaultToleranceTest, CrashPlanBitwiseIdentical) {
+// One speculative backend under fault injection.
+class FaultToleranceTest : public ::testing::TestWithParam<ExecutorKind> {
+ protected:
+  bool fabric() const { return GetParam() == ExecutorKind::kDistributed; }
+
+  // `workers` threads, or `workers` single-thread agents with one lease each.
+  ExecutorOptions Exec(int workers) const {
+    ExecutorOptions exec;
+    exec.workers = workers;
+    if (fabric()) {
+      exec.pipeline_depth = 1;
+    }
+    return exec;
+  }
+
+  CampaignReport Run(const CampaignOptions& options,
+                     const ExecutorOptions& exec) const {
+    return MakeExecutor(GetParam())->Run(FullSchema(), FullCorpus(), options,
+                                         exec);
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, FaultToleranceTest,
+    ::testing::Values(ExecutorKind::kThreadPool, ExecutorKind::kDistributed),
+    [](const ::testing::TestParamInfo<ExecutorKind>& info) {
+      return std::string(ExecutorKindName(info.param));
+    });
+
+FaultSpec Spec(FaultKind kind, const char* test_id, int attempt) {
+  FaultSpec spec;
+  spec.kind = kind;
+  spec.test_id = test_id;
+  spec.attempt = attempt;
+  return spec;
+}
+
+// A watchdog tight enough to keep the hang tests fast, loose enough that a
+// healthy unit under a sanitizer never trips it. The thread pool has no
+// watchdog (an injected hang fails its attempt at once) and ignores it.
+CampaignOptions WithTightWatchdog(CampaignOptions options) {
+  options.watchdog_floor_seconds = 0.5;
+  options.watchdog_multiplier = 8.0;
+  return options;
+}
+
+TEST_P(FaultToleranceTest, CrashPlanBitwiseIdentical) {
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
   ASSERT_GT(expected.findings.size(), 0u);
 
   // Three first-attempt crashes on three different units, three workers
   // lost; the fourth finishes the campaign.
-  ParallelCampaignOptions parallel;
-  parallel.workers = 4;
+  ExecutorOptions exec = Exec(4);
   for (const char* test_id :
        {"minikv.TestPutGet", "ministream.TestDataExchange",
         "minikv.TestRestStatus"}) {
-    FaultSpec spec;
-    spec.kind = FaultKind::kCrash;
-    spec.test_id = test_id;
-    spec.attempt = 0;
-    parallel.faults.specs.push_back(spec);
+    exec.faults.specs.push_back(Spec(FaultKind::kCrash, test_id, 0));
   }
 
-  CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+  CampaignReport report = Run(options, exec);
   ExpectIdenticalResults(report, expected, "crash plan");
-  EXPECT_GE(report.requeued_units, 1);
+  EXPECT_EQ(report.requeued_units, 3);
   EXPECT_TRUE(report.poisoned_units.empty());
+  if (fabric()) {
+    EXPECT_EQ(report.agent_disconnects, 3);
+  }
 }
 
-TEST(FaultToleranceTest, HangWatchdogBitwiseIdentical) {
+TEST_P(FaultToleranceTest, HangWatchdogBitwiseIdentical) {
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
 
-  // The very first unit hangs on its first attempt. The watchdog (tight
-  // floor so the test stays fast) SIGKILLs the stuck worker; the survivor
-  // re-runs the unit and the campaign must not notice.
-  CampaignOptions tuned = options;
-  tuned.watchdog_floor_seconds = 0.25;
-  tuned.watchdog_multiplier = 4.0;
+  // The very first unit hangs on its first attempt. The fabric's lease
+  // watchdog retires the stuck agent; the thread pool fails the attempt at
+  // once. Either way the survivor re-runs the unit and the campaign must
+  // not notice.
+  ExecutorOptions exec = Exec(2);
+  exec.faults.specs.push_back(Spec(FaultKind::kHang, "minikv.TestPutGet", 0));
 
-  ParallelCampaignOptions parallel;
-  parallel.workers = 2;
-  FaultSpec hang;
-  hang.kind = FaultKind::kHang;
-  hang.test_id = "minikv.TestPutGet";
-  hang.attempt = 0;
-  parallel.faults.specs.push_back(hang);
-
-  CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), tuned, parallel);
+  CampaignReport report = Run(WithTightWatchdog(options), exec);
   ExpectIdenticalResults(report, expected, "hang + watchdog");
   EXPECT_EQ(report.hung_workers, 1);
-  EXPECT_GE(report.requeued_units, 1);
+  EXPECT_EQ(report.requeued_units, 1);
   EXPECT_TRUE(report.poisoned_units.empty());
 }
 
-TEST(FaultToleranceTest, GarbledFrameBitwiseIdentical) {
+TEST_P(FaultToleranceTest, GarbledFrameBitwiseIdentical) {
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
 
-  ParallelCampaignOptions parallel;
-  parallel.workers = 2;
-  FaultSpec garble;
-  garble.kind = FaultKind::kGarbledFrame;
-  garble.test_id = "ministream.TestDataExchange";
-  garble.attempt = 0;
-  parallel.faults.specs.push_back(garble);
+  ExecutorOptions exec = Exec(2);
+  exec.faults.specs.push_back(
+      Spec(FaultKind::kGarbledFrame, "ministream.TestDataExchange", 0));
 
-  CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+  CampaignReport report = Run(options, exec);
   ExpectIdenticalResults(report, expected, "garbled frame");
-  EXPECT_GE(report.requeued_units, 1);
+  EXPECT_EQ(report.requeued_units, 1);
+  if (fabric()) {
+    EXPECT_EQ(report.agent_disconnects, 1);
+  }
 }
 
-TEST(FaultToleranceTest, SlowWorkerBitwiseIdentical) {
+TEST_P(FaultToleranceTest, SlowWorkerBitwiseIdentical) {
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
 
   // A slow worker must ride out the default watchdog untouched: slowness is
   // not a fault, just load.
-  ParallelCampaignOptions parallel;
-  parallel.workers = 2;
-  FaultSpec slow;
-  slow.kind = FaultKind::kSlowWorker;
-  slow.test_id = "minikv.TestPutGet";
-  slow.attempt = -1;
+  ExecutorOptions exec = Exec(2);
+  FaultSpec slow = Spec(FaultKind::kSlowWorker, "minikv.TestPutGet", -1);
   slow.slow_seconds = 0.05;
-  parallel.faults.specs.push_back(slow);
+  exec.faults.specs.push_back(slow);
 
-  CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+  CampaignReport report = Run(options, exec);
   ExpectIdenticalResults(report, expected, "slow worker");
   EXPECT_EQ(report.hung_workers, 0);
   EXPECT_EQ(report.requeued_units, 0);
 }
 
-TEST(FaultToleranceTest, PoisonedUnitQuarantinedAndCampaignCompletes) {
-  CampaignOptions options = SmallCampaign();
-  options.watchdog_floor_seconds = 0.2;
-  options.watchdog_multiplier = 4.0;
+TEST_P(FaultToleranceTest, PoisonedUnitQuarantinedAndCampaignCompletes) {
+  CampaignOptions options = WithTightWatchdog(SmallCampaign());
   options.unit_attempt_limit = 2;
 
-  // This unit hangs on EVERY attempt: without quarantine the scheduler
-  // would burn workers on it forever. After two watchdog kills it must be
-  // poisoned, folded as an empty stub, and the rest of the campaign must
-  // still complete with the one surviving worker.
-  ParallelCampaignOptions parallel;
-  parallel.workers = 3;
-  FaultSpec hang;
-  hang.kind = FaultKind::kHang;
-  hang.test_id = "minikv.TestPutGet";
-  hang.attempt = -1;
-  parallel.faults.specs.push_back(hang);
+  // This unit hangs on EVERY attempt: without quarantine the engine would
+  // burn workers on it forever. After two failed attempts (two watchdog
+  // retirements on the fabric, two failed thread attempts in the pool) it
+  // must be poisoned, folded as an empty stub, and the rest of the campaign
+  // must still complete with the surviving worker.
+  ExecutorOptions exec = Exec(3);
+  exec.faults.specs.push_back(Spec(FaultKind::kHang, "minikv.TestPutGet", -1));
 
-  CampaignReport report =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, parallel);
+  CampaignReport report = Run(options, exec);
   ASSERT_EQ(report.poisoned_units.size(), 1u);
   EXPECT_EQ(report.poisoned_units[0], "minikv.TestPutGet");
   EXPECT_EQ(report.hung_workers, 2);
@@ -298,78 +326,73 @@ TEST(FaultToleranceTest, PoisonedUnitQuarantinedAndCampaignCompletes) {
   EXPECT_GT(report.total_unit_test_runs, 0);
 }
 
-TEST(FaultToleranceTest, JournalResumeBitwiseIdentical) {
+TEST_P(FaultToleranceTest, JournalResumeBitwiseIdentical) {
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
-  const std::string path = ::testing::TempDir() + "/fault_resume.zj";
+  const std::string path =
+      ::testing::TempDir() + "/fault_resume_" + ExecutorKindName(GetParam()) +
+      ".zj";
   std::remove(path.c_str());
 
   // First invocation "crashes" (abort hook) after three folds; the journal
   // holds exactly those three unit results.
-  ParallelCampaignOptions first;
-  first.workers = 2;
+  ExecutorOptions first = Exec(2);
   first.journal_path = path;
   first.abort_after_folds = 3;
-  CampaignReport partial =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  CampaignReport partial = Run(options, first);
   EXPECT_LT(partial.total_unit_test_runs, expected.total_unit_test_runs);
 
   // The resumed campaign replays the journal prefix and runs only the rest —
   // and must be bitwise-identical to the uninterrupted reference.
-  ParallelCampaignOptions second;
-  second.workers = 2;
+  ExecutorOptions second = Exec(2);
   second.journal_path = path;
   second.resume = true;
-  CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+  CampaignReport resumed = Run(options, second);
   ExpectIdenticalResults(resumed, expected, "journal resume");
   EXPECT_EQ(resumed.resumed_units, 3);
   std::remove(path.c_str());
 }
 
-TEST(FaultToleranceTest, GroupCommitJournalResumeBitwiseIdentical) {
+TEST_P(FaultToleranceTest, GroupCommitJournalResumeBitwiseIdentical) {
   // Same crash/resume contract as JournalResumeBitwiseIdentical, but under
   // the batched sync policy: records ride several-per-fdatasync, the abort
   // lands mid-batch, and the resumed campaign must still be
   // bitwise-identical to the uninterrupted reference.
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
-  const std::string path = ::testing::TempDir() + "/fault_batch_resume.zj";
+  const std::string path = ::testing::TempDir() + "/fault_batch_resume_" +
+                           ExecutorKindName(GetParam()) + ".zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 2;
+  ExecutorOptions first = Exec(2);
   first.journal_path = path;
   first.journal_sync_batch = 4;
   first.abort_after_folds = 3;  // mid-batch: 3 folded, none past a boundary
-  CampaignReport partial =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  CampaignReport partial = Run(options, first);
   EXPECT_LT(partial.total_unit_test_runs, expected.total_unit_test_runs);
 
-  ParallelCampaignOptions second;
-  second.workers = 2;
+  ExecutorOptions second = Exec(2);
   second.journal_path = path;
   second.journal_sync_batch = 4;
   second.resume = true;
-  CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+  CampaignReport resumed = Run(options, second);
   ExpectIdenticalResults(resumed, expected, "group-commit journal resume");
   EXPECT_EQ(resumed.resumed_units, 3);
   EXPECT_EQ(resumed.journal_append_failures, 0);
   std::remove(path.c_str());
 }
 
-TEST(FaultToleranceTest, TornJournalTailResumeBitwiseIdentical) {
+TEST_P(FaultToleranceTest, TornJournalTailResumeBitwiseIdentical) {
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
-  const std::string path = ::testing::TempDir() + "/fault_torn_resume.zj";
+  const std::string path = ::testing::TempDir() + "/fault_torn_resume_" +
+                           ExecutorKindName(GetParam()) + ".zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 2;
+  ExecutorOptions first = Exec(2);
   first.journal_path = path;
   first.abort_after_folds = 5;
-  RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  Run(options, first);
 
   // Smear garbage over the tail of the last record, as a crash mid-append
   // would: the checksum rejects the record, resume keeps the 4-record
@@ -383,72 +406,58 @@ TEST(FaultToleranceTest, TornJournalTailResumeBitwiseIdentical) {
     file.write("ZZZZZZZZ", 8);
   }
 
-  ParallelCampaignOptions second;
-  second.workers = 2;
+  ExecutorOptions second = Exec(2);
   second.journal_path = path;
   second.resume = true;
-  CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+  CampaignReport resumed = Run(options, second);
   ExpectIdenticalResults(resumed, expected, "torn journal resume");
   EXPECT_EQ(resumed.resumed_units, 4);
   std::remove(path.c_str());
 }
 
-TEST(FaultToleranceTest, ResumeWithDifferentCampaignThrows) {
+TEST_P(FaultToleranceTest, ResumeWithDifferentCampaignThrows) {
   CampaignOptions options = SmallCampaign();
-  const std::string path = ::testing::TempDir() + "/fault_mismatch.zj";
+  const std::string path = ::testing::TempDir() + "/fault_mismatch_" +
+                           ExecutorKindName(GetParam()) + ".zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 1;
+  ExecutorOptions first = Exec(1);
   first.journal_path = path;
   first.abort_after_folds = 2;
-  RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  Run(options, first);
 
   // Resuming with result-affecting options changed must refuse, not
   // silently mix two campaigns' results.
   CampaignOptions different = options;
   different.enable_pooling = false;
-  ParallelCampaignOptions second;
-  second.workers = 1;
+  ExecutorOptions second = Exec(1);
   second.journal_path = path;
   second.resume = true;
-  EXPECT_THROW(
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), different, second),
-      Error);
+  EXPECT_THROW(Run(different, second), Error);
   std::remove(path.c_str());
 }
 
-TEST(FaultToleranceTest, FaultsUnderJournalResumeBitwiseIdentical) {
+TEST_P(FaultToleranceTest, FaultsUnderJournalResumeBitwiseIdentical) {
   // Compose the layers: a crash fault during the first (aborted) run AND a
   // crash during the resumed run, with the journal carrying state across.
   CampaignOptions options = SmallCampaign();
   CampaignReport expected = SequentialReference(options);
-  const std::string path = ::testing::TempDir() + "/fault_compose.zj";
+  const std::string path = ::testing::TempDir() + "/fault_compose_" +
+                           ExecutorKindName(GetParam()) + ".zj";
   std::remove(path.c_str());
 
-  ParallelCampaignOptions first;
-  first.workers = 3;
+  ExecutorOptions first = Exec(3);
   first.journal_path = path;
   first.abort_after_folds = 4;
-  FaultSpec crash;
-  crash.kind = FaultKind::kCrash;
-  crash.test_id = "minikv.TestPutGet";
-  crash.attempt = 0;
-  first.faults.specs.push_back(crash);
-  RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, first);
+  first.faults.specs.push_back(Spec(FaultKind::kCrash, "minikv.TestPutGet", 0));
+  Run(options, first);
 
-  ParallelCampaignOptions second;
-  second.workers = 3;
+  ExecutorOptions second = Exec(3);
   second.journal_path = path;
   second.resume = true;
-  FaultSpec crash_later;
-  crash_later.kind = FaultKind::kCrash;
-  crash_later.test_id = "ministream.TestDataExchange";
-  crash_later.attempt = 0;
-  second.faults.specs.push_back(crash_later);
-  CampaignReport resumed =
-      RunWorkStealingCampaign(FullSchema(), FullCorpus(), options, second);
+  second.faults.specs.push_back(
+      Spec(FaultKind::kCrash, "ministream.TestDataExchange", 0));
+  CampaignReport resumed = Run(options, second);
   ExpectIdenticalResults(resumed, expected, "faults + journal resume");
   EXPECT_EQ(resumed.resumed_units, 4);
   std::remove(path.c_str());

@@ -1,9 +1,9 @@
 // Tests for the in-process thread-pool scheduler and the CampaignExecutor
-// interface. The determinism contract is the same one the forked schedulers
-// carry — findings, Table-5 stage counts, and runs_to_first_detection
-// bitwise-identical to the sequential campaign at every thread count — plus
-// the thread-specific surfaces: the shared cross-worker run cache, the
-// thread mapping of injected faults, and journal/resume without forks.
+// interface. The determinism contract every backend carries — findings,
+// Table-5 stage counts, and runs_to_first_detection bitwise-identical to the
+// sequential campaign at every thread count — plus the thread-specific
+// surfaces: the shared cross-worker run cache, the thread mapping of
+// injected faults, and journal/resume without forks.
 
 #include "src/core/thread_pool_scheduler.h"
 
@@ -105,23 +105,6 @@ TEST(ThreadPoolSchedulerTest, SharedRunCacheDoesNotChangeResultsAndRecordsHits) 
   EXPECT_GT(cached.cache_misses, 0);
 }
 
-TEST(ThreadPoolSchedulerTest, PerWorkerCachesAlsoPreserveResults) {
-  CampaignOptions options;
-  options.apps = {"minikv", "ministream"};
-  Campaign sequential(FullSchema(), FullCorpus(), options);
-  CampaignReport expected = sequential.Run();
-
-  CampaignOptions cached_options = options;
-  cached_options.enable_run_cache = true;
-  ThreadPoolCampaignOptions pool;
-  pool.workers = 4;
-  pool.share_run_cache = false;  // forked-scheduler-style per-engine caches
-  CampaignReport cached =
-      RunThreadPoolCampaign(FullSchema(), FullCorpus(), cached_options, pool);
-  ExpectIdenticalResults(cached, expected, "per-worker caches");
-  EXPECT_GT(cached.cache_hits, 0);
-}
-
 TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalAtEveryThreadCount) {
   // The strongest cache contract: equivalence-layer serves across different
   // plans, shared across workers, and the no-cache sequential reference must
@@ -140,6 +123,35 @@ TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalAtEveryThreadCount) {
                                                   equiv_options, workers);
     ExpectIdenticalResults(pooled, expected,
                            "equiv workers=" + std::to_string(workers));
+  }
+}
+
+TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalUnprunedRegime) {
+  // The regime where the layer actually collapses whole equivalence classes
+  // (generation without pre-run read pruning): most plans differ only in
+  // override entries no targeted conf reads, and the cache must dedup them
+  // without moving a single finding.
+  CampaignOptions options;
+  options.apps = {"minikv", "ministream", "apptools"};
+  options.prune_unread_instances = false;
+  Campaign sequential(FullSchema(), FullCorpus(), options);
+  CampaignReport expected = sequential.Run();
+  ASSERT_GT(expected.findings.size(), 0u);
+
+  CampaignOptions equiv_options = options;
+  equiv_options.enable_run_cache = true;
+  equiv_options.enable_equiv_cache = true;
+
+  Campaign seq_equiv(FullSchema(), FullCorpus(), equiv_options);
+  CampaignReport sequential_equiv = seq_equiv.Run();
+  ExpectIdenticalResults(sequential_equiv, expected, "sequential equiv unpruned");
+  EXPECT_GT(sequential_equiv.equiv_hits, 0);
+
+  for (int workers : {2, 4}) {
+    CampaignReport pooled = RunThreadPoolCampaign(FullSchema(), FullCorpus(),
+                                                  equiv_options, workers);
+    ExpectIdenticalResults(pooled, expected,
+                           "equiv unpruned workers=" + std::to_string(workers));
   }
 }
 
@@ -300,9 +312,8 @@ TEST(CampaignExecutorTest, EveryBackendProducesIdenticalResults) {
   CampaignReport expected = sequential_ref.Run();
   ASSERT_GT(expected.findings.size(), 0u);
 
-  for (ExecutorKind kind :
-       {ExecutorKind::kSequential, ExecutorKind::kSharded,
-        ExecutorKind::kStealing, ExecutorKind::kThreadPool}) {
+  for (ExecutorKind kind : {ExecutorKind::kSequential, ExecutorKind::kThreadPool,
+                            ExecutorKind::kDistributed}) {
     auto executor = MakeExecutor(kind);
     ExecutorOptions exec;
     exec.workers = kind == ExecutorKind::kSequential ? 1 : 2;
@@ -313,53 +324,58 @@ TEST(CampaignExecutorTest, EveryBackendProducesIdenticalResults) {
 }
 
 TEST(CampaignExecutorTest, ParseAndNameRoundTrip) {
-  for (ExecutorKind kind :
-       {ExecutorKind::kSequential, ExecutorKind::kSharded,
-        ExecutorKind::kStealing, ExecutorKind::kThreadPool}) {
+  for (ExecutorKind kind : {ExecutorKind::kSequential, ExecutorKind::kThreadPool,
+                            ExecutorKind::kDistributed}) {
     auto parsed = ParseExecutorKind(ExecutorKindName(kind));
     ASSERT_TRUE(parsed.has_value()) << ExecutorKindName(kind);
     EXPECT_EQ(*parsed, kind);
     EXPECT_STREQ(MakeExecutor(kind)->name(), ExecutorKindName(kind));
   }
   EXPECT_FALSE(ParseExecutorKind("fork-bomb").has_value());
+  // The retired backends' names parse as unknown, not as a fallback.
+  EXPECT_FALSE(ParseExecutorKind("sharded").has_value());
+  EXPECT_FALSE(ParseExecutorKind("stealing").has_value());
 }
 
 TEST(CampaignExecutorTest, UnhonorableOptionsAreRejectedNotDropped) {
   CampaignOptions options;
   options.apps = {"minikv"};
 
+  // Sequential folds in one pass on the calling thread: no journal, no
+  // resume, no abort hook, no fault plan, no second worker.
   ExecutorOptions with_journal;
   with_journal.journal_path = ::testing::TempDir() + "/exec_reject.zj";
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSequential)
-                   ->Run(FullSchema(), FullCorpus(), options, with_journal),
-               Error);
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSharded)
-                   ->Run(FullSchema(), FullCorpus(), options, with_journal),
-               Error);
-
+  ExecutorOptions with_resume;
+  with_resume.resume = true;
+  ExecutorOptions with_abort;
+  with_abort.abort_after_folds = 1;
   ExecutorOptions with_faults;
   FaultSpec crash;
   crash.kind = FaultKind::kCrash;
   with_faults.faults.specs.push_back(crash);
-  EXPECT_THROW(MakeExecutor(ExecutorKind::kSequential)
-                   ->Run(FullSchema(), FullCorpus(), options, with_faults),
-               Error);
-}
+  ExecutorOptions with_workers;
+  with_workers.workers = 2;
+  for (const ExecutorOptions& exec :
+       {with_journal, with_resume, with_abort, with_faults, with_workers}) {
+    EXPECT_THROW(MakeExecutor(ExecutorKind::kSequential)
+                     ->Run(FullSchema(), FullCorpus(), options, exec),
+                 Error);
+  }
 
-TEST(CampaignExecutorTest, CapabilityFlagsMatchBackends) {
-  EXPECT_FALSE(MakeExecutor(ExecutorKind::kSequential)->supports_journal());
-  EXPECT_FALSE(
-      MakeExecutor(ExecutorKind::kSequential)->supports_fault_injection());
-  EXPECT_TRUE(MakeExecutor(ExecutorKind::kSharded)->supports_process_faults());
-  EXPECT_FALSE(MakeExecutor(ExecutorKind::kSharded)->supports_journal());
-  EXPECT_TRUE(MakeExecutor(ExecutorKind::kStealing)->supports_journal());
-  EXPECT_TRUE(
-      MakeExecutor(ExecutorKind::kStealing)->supports_process_faults());
-  EXPECT_TRUE(MakeExecutor(ExecutorKind::kThreadPool)->supports_journal());
-  EXPECT_FALSE(
-      MakeExecutor(ExecutorKind::kThreadPool)->supports_process_faults());
-  EXPECT_TRUE(
-      MakeExecutor(ExecutorKind::kThreadPool)->supports_fault_injection());
+  // The thread pool honors journal and faults but no fleet shape.
+  ExecutorOptions with_agent_threads;
+  with_agent_threads.workers = 2;
+  with_agent_threads.agent_threads = 2;
+  EXPECT_THROW(MakeExecutor(ExecutorKind::kThreadPool)
+                   ->Run(FullSchema(), FullCorpus(), options, with_agent_threads),
+               Error);
+
+  // The fabric refuses a fleet it cannot assemble.
+  ExecutorOptions no_agents;
+  no_agents.workers = 0;
+  EXPECT_THROW(MakeExecutor(ExecutorKind::kDistributed)
+                   ->Run(FullSchema(), FullCorpus(), options, no_agents),
+               Error);
 }
 
 // ---------------------------------------------------------------------------

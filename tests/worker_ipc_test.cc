@@ -1,7 +1,7 @@
-// Tests for the hardened pipe plumbing both campaign runners share — frame
-// round-trips, malformed-header rejection, and the SIGPIPE regression: a
-// worker that dies between dispatch and the parent's write must surface as a
-// WriteFrame/WriteAll return-value failure, never as parent process death.
+// Tests for the hardened fd plumbing the journal and the fabric share —
+// frame round-trips, malformed-header rejection, and the SIGPIPE regression:
+// a peer that dies before the writer's next write must surface as a
+// WriteFrame/WriteAll return-value failure, never as writer process death.
 
 #include "src/core/worker_ipc.h"
 
