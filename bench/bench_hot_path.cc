@@ -15,10 +15,10 @@
 // Three "legacy shape" micro arms reproduce per-op costs the hash-keyed
 // refactor removes, so the artifact keeps the before/after visible the same
 // way bench_conf_micro's materialized-name arm does:
-//   legacy_string_keys    — building the four string cache keys
-//                           (exact/wildcard/canonical/trace) per lookup,
-//   fingerprint_recompute — TestPlan::Fingerprint() re-serialized per
-//                           comparison (the plan_equiv sort comparator shape),
+//   legacy_string_keys    — building the two string cache keys
+//                           (exact/wildcard) per lookup,
+//   fingerprint_recompute — TestPlan::Fingerprint() re-serialized per use
+//                           (the cost before the fingerprint was memoized),
 //   result_deep_copy      — TestResult copied out of the cache per hit.
 //
 // `--ci-gate` is the fast regression gate: the thread-pool engine, plain and
@@ -174,7 +174,6 @@ const char* EngineName(Engine engine) {
 CampaignReport RunEngine(Engine engine, bool cached, int workers) {
   CampaignOptions options;  // all apps
   options.enable_run_cache = cached;
-  options.enable_equiv_cache = cached;
   switch (engine) {
     case Engine::kSequential: {
       Campaign campaign(FullSchema(), FullCorpus(), options);
@@ -304,18 +303,8 @@ MicroArms MeasureMicroArms() {
   const TestPlan plan = RepresentativePlan();
   const std::string plan_fp = plan.Fingerprint();
   const uint64_t trial = 2;
-  // A read trace of realistic size: one '\x1e'-joined element per observed
-  // (entity, param, value) triple.
-  std::string trace;
-  for (int i = 0; i < 12; ++i) {
-    if (!trace.empty()) {
-      trace += '\x1e';
-    }
-    trace += "DataNode#" + std::to_string(i % 3) +
-             "|dfs.namenode.replication.considerLoad.factor=3.5";
-  }
 
-  // The pre-PR 8 RunCache call shape: four string keys concatenated per
+  // The string-keyed RunCache call shape: both string keys concatenated per
   // logical lookup/insert cycle.
   arms.legacy_keys = MeasureMicro([&] {
     std::string exact = test_id;
@@ -327,24 +316,12 @@ MicroArms MeasureMicroArms() {
     wildcard += '\x1f';
     wildcard += plan_fp;
     wildcard += "\x1f*";
-    std::string canonical = "C\x1f";
-    canonical += test_id;
-    canonical += '\x1f';
-    canonical += plan_fp;
-    canonical += "\x1f*";
-    std::string trace_key = "T\x1f";
-    trace_key += test_id;
-    trace_key += '\x1f';
-    trace_key += trace;
-    trace_key += "\x1f*";
     benchmark::DoNotOptimize(exact);
     benchmark::DoNotOptimize(wildcard);
-    benchmark::DoNotOptimize(canonical);
-    benchmark::DoNotOptimize(trace_key);
   });
 
-  // The pre-PR 8 plan_equiv comparator shape: the plan fingerprint
-  // re-serialized from its entries on every comparison. (TestPlan::
+  // The unmemoized fingerprint shape: the plan fingerprint re-serialized
+  // from its entries on every use. (TestPlan::
   // Fingerprint() itself is memoized now, so the legacy cost is reproduced
   // by rebuilding the concatenation the old implementation produced.)
   arms.fingerprint = MeasureMicro(
@@ -497,9 +474,6 @@ int RunCiGate() {
     report.wall_seconds = sequential.wall_seconds;
     report.cache_hits = sequential.cache_hits;
     report.cache_misses = sequential.cache_misses;
-    report.equiv_hits = sequential.equiv_hits;
-    report.canonicalized_plans = sequential.canonicalized_plans;
-    report.mispredictions = sequential.mispredictions;
     report.cache_evictions = sequential.cache_evictions;
     report.run_durations_seconds = sequential.run_durations_seconds;
     const std::string actual = SerializeReport(report);

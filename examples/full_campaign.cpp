@@ -8,7 +8,6 @@
 //   $ ./full_campaign --report report.md       # write a markdown report
 //   $ ./full_campaign --cache-file runs.zc     # warm-start the run cache
 //                                              # (sequential runs only)
-//   $ ./full_campaign --equiv-cache            # observational-equivalence dedup
 //   $ ./full_campaign --workers 4              # thread pool, 4 threads
 //   $ ./full_campaign --journal camp.zj        # crash-safe result journal
 //   $ ./full_campaign --journal camp.zj --resume   # pick up where it stopped
@@ -103,8 +102,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cache-file") == 0 && i + 1 < argc) {
       cache_file = argv[++i];
       options.enable_run_cache = true;
-    } else if (std::strcmp(argv[i], "--equiv-cache") == 0) {
-      options.enable_equiv_cache = true;
     } else if (std::strcmp(argv[i], "--journal") == 0 && i + 1 < argc) {
       journal_path = argv[++i];
     } else if (std::strcmp(argv[i], "--resume") == 0) {
@@ -154,7 +151,7 @@ int main(int argc, char** argv) {
       std::printf(
           "usage: %s [--no-pooling] [--no-round-robin] [--no-prerun-prune]\n"
           "          [--first-trials N] [--workers N] [--report FILE]\n"
-          "          [--cache-file FILE] [--equiv-cache]\n"
+          "          [--cache-file FILE]\n"
           "          [--journal FILE] [--resume] [--journal-sync=every|batch:N]\n"
           "          [--watchdog-floor SECONDS]\n"
           "          [--static-prior] [--no-coupling-plans]\n"
@@ -411,15 +408,10 @@ int main(int argc, char** argv) {
   std::printf("total unit-test executions: %lld in %.2f s\n",
               static_cast<long long>(report.total_unit_test_runs),
               report.wall_seconds);
-  if (report.cache_hits > 0 || report.equiv_hits > 0) {
-    std::printf(
-        "run cache: %lld exact hits, %lld equivalence hits, %lld plans "
-        "canonicalized, %lld mispredictions, %lld evictions\n",
-        static_cast<long long>(report.cache_hits),
-        static_cast<long long>(report.equiv_hits),
-        static_cast<long long>(report.canonicalized_plans),
-        static_cast<long long>(report.mispredictions),
-        static_cast<long long>(report.cache_evictions));
+  if (report.cache_hits > 0) {
+    std::printf("run cache: %lld hits, %lld evictions\n",
+                static_cast<long long>(report.cache_hits),
+                static_cast<long long>(report.cache_evictions));
   }
   if (report.coupling_runs > 0 || report.units_skipped > 0) {
     std::printf(

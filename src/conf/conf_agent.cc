@@ -7,7 +7,6 @@
 #include "src/common/error.h"
 #include "src/common/logging.h"
 #include "src/conf/configuration.h"
-#include "src/conf/plan_equiv.h"
 
 namespace zebra {
 
@@ -56,13 +55,12 @@ struct ReadKeyHash {
 // promotion (which clears the memo).
 struct ReadMemo {
   bool read_seen = false;  // a Get was decided (and, in kRecord, recorded)
-  bool has_seen = false;   // a Has was recorded
   const std::string* assigned = nullptr;  // the Get's override; null: none
 };
 
 }  // namespace
 
-// A conf's resolved owner: what plan lookups and trace elements key on.
+// A conf's resolved owner: what plan lookups key on.
 struct ConfAgent::Owner {
   enum class Kind { kUnknown, kUncertain, kUnitTest, kNode } kind = Kind::kUnknown;
   std::string_view entity;  // node type or kClientEntity (mapped kinds only)
@@ -374,20 +372,17 @@ const std::string* ConfAgent::InterceptGet(uint64_t conf_id, std::string_view na
     if (!owner.mapped()) {
       // Either a conf created outside the session (e.g. a process-global
       // default) or one we could not map — both are uncertain usage.
-      // Uncertain confs never receive overrides, so the trace marker is
-      // plan-invariant and the memoized decision is stable.
+      // Uncertain confs never receive overrides, so the memoized decision is
+      // stable.
       if (session.recording()) {
         session.report.uncertain_params.emplace(interned.text);
-        session.report.trace_elements.insert(TraceUncertainElement(interned.text));
       }
     } else {
       // Only node-owned and unit-test-owned confs receive plan values.
-      const int index = owner.plan_index();
-      memo.assigned = session.plan->Lookup(interned.text, owner.entity, index);
+      memo.assigned = session.plan->Lookup(interned.text, owner.entity,
+                                           owner.plan_index());
       if (session.recording()) {
         session.report.reads[std::string(owner.entity)].emplace(interned.text);
-        session.report.trace_elements.insert(
-            TraceReadElement(owner.entity, index, interned.text, memo.assigned));
       }
     }
   }
@@ -395,34 +390,6 @@ const std::string* ConfAgent::InterceptGet(uint64_t conf_id, std::string_view na
     ++session.report.override_hits;
   }
   return memo.assigned;
-}
-
-void ConfAgent::InterceptHas(uint64_t conf_id, std::string_view name) {
-  if (!InSession()) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (session_ == nullptr || !session_->recording()) {
-    return;
-  }
-  Session& session = *session_;
-  // A presence check is pure recording; once the trace element for this
-  // (conf, param) pair exists, repeats are no-ops.
-  const InternArena::Interned interned = intern_.Intern(name);
-  ReadMemo& memo = session.memo[ReadKey{conf_id, interned.id}];
-  if (memo.has_seen) {
-    return;
-  }
-  memo.has_seen = true;
-  const Owner owner = ResolveLocked(conf_id);
-  if (!owner.mapped()) {
-    session.report.trace_elements.insert(TraceUncertainElement(interned.text));
-    return;
-  }
-  const int index = owner.plan_index();
-  session.report.trace_elements.insert(
-      TraceHasElement(owner.entity, index, interned.text,
-                      session.plan->Lookup(interned.text, owner.entity, index)));
 }
 
 void ConfAgent::InterceptSet(uint64_t conf_id, std::string_view name,

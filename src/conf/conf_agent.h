@@ -40,8 +40,8 @@
 // Ownership-mutating promotions (a handful per run) clear the memo in O(1).
 //
 // Recording is paid only where it is consumed. A kRecord session fills the
-// per-read parts of the SessionReport (reads, uncertain_params,
-// trace_elements) that test generation and the run cache need; a kVerdict
+// per-read parts of the SessionReport (reads, uncertain_params) that test
+// generation and the run cache need; a kVerdict
 // session — every dynamic-phase execution when no run cache is installed —
 // makes the same override decisions and skips that bookkeeping. Session
 // state is reused across sessions: its tables are cleared, not freed.
@@ -98,12 +98,6 @@ struct SessionReport {
   // How many interceptGet calls returned a plan-assigned value.
   int override_hits = 0;
 
-  // Canonical encoding of every observation this session made (see
-  // plan_equiv.h for the element grammar). Sorted + deduplicated by the set;
-  // ObservedTraceText() joins them into the cross-plan cache key. Purely
-  // additive: nothing in test generation or verification reads these.
-  std::set<std::string> trace_elements;
-
   bool StartedAnyNode() const { return !node_counts.empty(); }
   int TotalNodes() const;
   std::set<std::string> ParamsReadBy(const std::string& entity) const;
@@ -113,11 +107,10 @@ struct SessionReport {
 // What a session records (see "Hot path" above). Both modes make identical
 // override decisions and count override_hits, conf objects and nodes.
 enum class SessionMode {
-  // Full report, including the per-read reads/uncertain_params/
-  // trace_elements. Pre-runs, dependency mining and every execution whose
-  // result enters the run cache.
+  // Full report, including the per-read reads/uncertain_params. Pre-runs,
+  // dependency mining and every execution whose result enters the run cache.
   kRecord,
-  // Those three fields stay empty. For executions whose only consumer is the
+  // Those two fields stay empty. For executions whose only consumer is the
   // pass/fail verdict.
   kVerdict,
 };
@@ -176,14 +169,6 @@ class ConfAgent {
   // caller's default) is to be served. The pointee lives in the session's
   // plan and stays valid until the session ends.
   const std::string* InterceptGet(uint64_t conf_id, std::string_view name);
-
-  // Interception of Configuration::Has: records the presence check in the
-  // session trace (a plan override never changes what Has() returns, but the
-  // equivalence layer must still see that the parameter was observed).
-  // Deliberately does not touch `reads`/`uncertain_params`/`any_conf_usage`,
-  // so test generation is unchanged by presence checks. A no-op in kVerdict
-  // sessions, which record no trace.
-  void InterceptHas(uint64_t conf_id, std::string_view name);
 
   // Interception of Configuration::Set: propagates the write to the parent
   // configuration object when the conf belongs to a node that was initialized

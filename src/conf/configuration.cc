@@ -105,15 +105,9 @@ double Configuration::GetDouble(std::string_view name, double default_value) con
 
 bool Configuration::Has(std::string_view name) const {
   // No ZC_ANNOTATION_SITE here: Has is not a get/set hook in the paper's
-  // annotation census. The equivalence layer still needs to see the
-  // observation, so the presence check is traced (and nothing else).
-  bool present;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    present = properties_.find(name) != properties_.end();
-  }
-  ConfAgent::Current().InterceptHas(id_, name);
-  return present;
+  // annotation census, and a plan override never changes what it returns.
+  std::lock_guard<std::mutex> lock(mutex_);
+  return properties_.find(name) != properties_.end();
 }
 
 void Configuration::Set(std::string_view name, std::string_view value) {

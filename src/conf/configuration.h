@@ -87,7 +87,7 @@ class Configuration {
   uint64_t id_ = 0;
   // The agent this object registered with at construction (the creating
   // thread's Current()); the destructor unregisters from the same agent even
-  // if destruction happens on another thread. Get/Set/Has hooks still route
+  // if destruction happens on another thread. Get/Set hooks still route
   // through the *calling* thread's Current(), so a conf created outside a
   // worker's session is correctly observed there as uncertain usage.
   ConfAgent* agent_ = nullptr;

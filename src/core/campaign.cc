@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 #include <random>
 
 #include "src/common/logging.h"
-#include "src/conf/plan_equiv.h"
 
 namespace zebra {
 
@@ -105,9 +103,6 @@ void CampaignFolder::Fold(const UnitWorkResult& unit) {
   report_.filtered_by_hypothesis += unit.filtered_by_hypothesis;
   report_.cache_hits += unit.cache_hits;
   report_.cache_misses += unit.cache_misses;
-  report_.equiv_hits += unit.equiv_hits;
-  report_.canonicalized_plans += unit.canonicalized_plans;
-  report_.mispredictions += unit.mispredictions;
   report_.cache_evictions += unit.cache_evictions;
   report_.coupling_runs += unit.coupling_runs;
   report_.coupling_confirmations += unit.coupling_confirmations;
@@ -177,9 +172,6 @@ Campaign::Campaign(const ConfSchema& schema, const UnitTestRegistry& corpus,
       apps.insert(test.app);
     }
     options_.apps.assign(apps.begin(), apps.end());
-  }
-  if (options_.enable_equiv_cache) {
-    options_.enable_run_cache = true;  // the equiv layer rides on the cache
   }
   if (options_.enable_run_cache) {
     run_cache_ = std::make_unique<RunCache>(
@@ -390,7 +382,7 @@ UnitWorkResult Campaign::RunUnitDynamic(
   unit.conf_sharing_detected = session.conf_sharing_detected;
   unit.started_any_node = session.StartedAnyNode();
 
-  // Impacted-only / only-tests restrictions: the pre-run (our read-trace
+  // Impacted-only / only-tests restrictions: the pre-run (our read-set
   // probe) already ran; the dynamic phase is what gets skipped.
   if (!options_.only_tests.empty() &&
       options_.only_tests.count(unit.test_id) == 0) {
@@ -419,19 +411,6 @@ UnitWorkResult Campaign::RunUnitDynamic(
   if (instances.empty()) {
     return unit;
   }
-
-  // Observational-equivalence layer: the pre-run's read surface canonicalizes
-  // and trace-predicts every plan this unit's dynamic phase executes (see
-  // plan_equiv.h). Installed for this unit only — the surface is the promise
-  // of *this* test's pre-run. Works identically on every worker thread
-  // (thread-local scoped state, like the cache installation).
-  // Built only when the layer is on; otherwise the scope installs nullptr.
-  std::optional<ReadSurface> surface;
-  if (options_.enable_equiv_cache) {
-    surface.emplace(session);
-  }
-  ScopedReadSurface scoped_surface(
-      surface.has_value() && surface->usable() ? &*surface : nullptr);
 
   // Coupled plans are derived from the generated instances before they are
   // regrouped below; pairs with a filtered-out member are dropped.
@@ -521,10 +500,6 @@ UnitWorkResult Campaign::RunUnit(const UnitTestDef& test,
     RunCache::Stats stats = cache->stats();
     unit.cache_hits = stats.hits - stats_before.hits;
     unit.cache_misses = stats.misses - stats_before.misses;
-    unit.equiv_hits = stats.equiv_hits - stats_before.equiv_hits;
-    unit.canonicalized_plans =
-        stats.canonicalized_plans - stats_before.canonicalized_plans;
-    unit.mispredictions = stats.mispredictions - stats_before.mispredictions;
     unit.cache_evictions = stats.evictions - stats_before.evictions;
   }
   return unit;
@@ -572,9 +547,6 @@ CampaignReport Campaign::Run() {
     RunCache::Stats stats = run_cache_->stats();
     folder.report().cache_hits = stats.hits;
     folder.report().cache_misses = stats.misses;
-    folder.report().equiv_hits = stats.equiv_hits;
-    folder.report().canonicalized_plans = stats.canonicalized_plans;
-    folder.report().mispredictions = stats.mispredictions;
     folder.report().cache_evictions = stats.evictions;
     folder.report().cache_load_failures = stats.load_failures;
   }

@@ -62,9 +62,7 @@ struct CampaignOptions {
   bool enable_round_robin = true;
 
   // Pre-run read-set instance pruning on/off (see GeneratorOptions). Off
-  // models a user without pre-run knowledge; with the equivalence cache the
-  // unread-target instances are recovered at the cache layer instead
-  // (bench_equiv_dedup's regime).
+  // models a user without pre-run knowledge (the paper's Table 5 ablation).
   bool prune_unread_instances = true;
 
   // Memoized execution cache (testkit/run_cache.h): serve bitwise-identical
@@ -73,15 +71,6 @@ struct CampaignOptions {
   // Findings and every stage counter are unchanged — only wall-clock and the
   // run-duration profile shrink. Hit/miss totals surface in CampaignReport.
   bool enable_run_cache = false;
-
-  // Observational-equivalence layer on top of the run cache (plan_equiv.h):
-  // each unit's dynamic phase installs the pre-run ReadSurface, so plans
-  // that differ only in override entries no targeted conf ever reads — or
-  // whose predicted read trace matches a stored execution — are served
-  // without executing. Implies enable_run_cache. Findings, Table-5 stage
-  // counts, and runs_to_first_detection are provably unchanged (CI-gated);
-  // only executed runs and wall-clock shrink.
-  bool enable_equiv_cache = false;
 
   // Run-cache growth budget, enforced by LRU eviction (0 = unbounded).
   // Eviction can only re-execute, never change a served result.
@@ -114,7 +103,7 @@ struct CampaignOptions {
   // --impacted-only`): when non-empty, a unit whose pre-run read set does not
   // intersect this set skips its dynamic phase entirely (the code change
   // cannot have altered its behavior through configuration). Pre-runs still
-  // execute — they are the read-trace probes. Findings are identical to a
+  // execute — they are the read-set probes. Findings are identical to a
   // full campaign restricted to the impacted tests (CI-gated).
   std::set<std::string> impacted_params;
 
@@ -197,18 +186,18 @@ struct CampaignReport {
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
 
-  // Observational-equivalence accounting (all 0 when the layer is off).
-  // equiv_hits are serves through the canonical-plan or read-trace index;
-  // canonicalized_plans counts plans rewritten to a smaller canonical form;
-  // mispredictions counts pre-run promises that did not survive validation
-  // (each fell back to a real execution); cache_evictions counts LRU
-  // evictions under the configured budget. Like cache_hits these depend on
-  // scheduling (per-worker caches), so they are accounting, not part of the
-  // bitwise determinism contract.
+  // LRU evictions under the configured cache budget. Like cache_hits this
+  // depends on scheduling, so it is accounting, not part of the bitwise
+  // determinism contract.
+  int64_t cache_evictions = 0;
+
+  // Always 0: nothing writes or serializes these since the cross-plan
+  // equivalence cache was removed. Kept only because
+  // perfbench/campaign_bench.cc still clears them; they go with its next
+  // revision.
   int64_t equiv_hits = 0;
   int64_t canonicalized_plans = 0;
   int64_t mispredictions = 0;
-  int64_t cache_evictions = 0;
 
   // Coupling add-on accounting (0/0 when the phase is off or no prior is
   // configured). coupling_runs counts pairwise plans plus their blame-
@@ -310,9 +299,6 @@ struct UnitWorkResult {
 
   int64_t cache_hits = 0;
   int64_t cache_misses = 0;
-  int64_t equiv_hits = 0;
-  int64_t canonicalized_plans = 0;
-  int64_t mispredictions = 0;
   int64_t cache_evictions = 0;
 
   // Coupling add-on (see CampaignReport). Confirmations found by the add-on

@@ -574,13 +574,6 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
       stats =
           "cache_hits=" + Int64ToString(s.hits - cache_baseline.hits) + "\n" +
           "cache_misses=" + Int64ToString(s.misses - cache_baseline.misses) +
-          "\n" + "equiv_hits=" +
-          Int64ToString(s.equiv_hits - cache_baseline.equiv_hits) + "\n" +
-          "canonicalized_plans=" +
-          Int64ToString(s.canonicalized_plans -
-                        cache_baseline.canonicalized_plans) +
-          "\n" + "mispredictions=" +
-          Int64ToString(s.mispredictions - cache_baseline.mispredictions) +
           "\n" + "cache_evictions=" +
           Int64ToString(s.evictions - cache_baseline.evictions) + "\n" +
           "cache_load_failures=" + Int64ToString(s.load_failures);

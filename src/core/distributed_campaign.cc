@@ -40,6 +40,7 @@ namespace {
 // redo the work travels with it.
 struct Lease {
   int attempt = 0;
+  uint64_t sequence = 0;  // campaign-wide dispatch order
   double dispatch_seconds = 0.0;
   double deadline_seconds = 0.0;  // watchdog budget (0 = no deadline)
 };
@@ -136,8 +137,7 @@ CampaignReport RunDistributedCampaign(
 
   // Per-agent cache stats summed from kStats farewells (shared-cache mode
   // skips per-unit deltas, exactly like the thread-pool scheduler).
-  int64_t cache_hits = 0, cache_misses = 0, equiv_hits = 0;
-  int64_t canonicalized_plans = 0, mispredictions = 0, cache_evictions = 0;
+  int64_t cache_hits = 0, cache_misses = 0, cache_evictions = 0;
   int64_t cache_load_failures = 0;
 
   ScopedIgnoreSigPipe sigpipe_guard;
@@ -301,6 +301,7 @@ CampaignReport RunDistributedCampaign(
     for (size_t i = fold.cursor(); i < units.size(); ++i) {
       queue.push_back(i);
     }
+    uint64_t next_lease_sequence = 0;
 
     // Snapshot delta state. The coordinator-side epoch ticks whenever the
     // globally-unsafe set changes (it only ever grows today, but the delta
@@ -335,11 +336,41 @@ CampaignReport RunDistributedCampaign(
       }
     };
 
-    // Retiring an agent is all-or-nothing: every lease it held expires, the
-    // connection closes, and a spawned process is SIGKILLed (it may be
-    // merely silent, not dead — a kill on an already-dead pid is free) and
-    // reaped so nothing zombies.
-    auto retire_agent = [&](AgentConn& agent, const char* reason) {
+    // The leases a watchdog may blame on `agent` at `now`: past their
+    // deadline and among the agent's `threads` oldest. The agent runs its
+    // leases in dispatch order, so those are the only ones it can have
+    // started; a lease queued behind a hung one shares its dispatch time and
+    // deadline but never ran.
+    auto overdue_leases = [](const AgentConn& agent, double now) {
+      std::vector<std::pair<uint64_t, size_t>> by_dispatch;
+      for (const auto& [unit_index, lease] : agent.leases) {
+        by_dispatch.emplace_back(lease.sequence, unit_index);
+      }
+      std::sort(by_dispatch.begin(), by_dispatch.end());
+      by_dispatch.resize(
+          std::min(by_dispatch.size(), static_cast<size_t>(agent.threads)));
+      std::set<size_t> overdue;
+      for (const auto& [sequence, unit_index] : by_dispatch) {
+        const Lease& lease = agent.leases.at(unit_index);
+        if (lease.deadline_seconds > 0 &&
+            now - lease.dispatch_seconds >= lease.deadline_seconds) {
+          overdue.insert(unit_index);
+        }
+      }
+      return overdue;
+    };
+
+    // Retiring an agent expires every lease it held, closes the connection,
+    // and SIGKILLs a spawned process (it may be merely silent, not dead — a
+    // kill on an already-dead pid is free) and reaps it so nothing zombies.
+    // Which leases are charged a failed attempt depends on what is known. A
+    // crash, disconnect, garbled frame or silence names no culprit, so every
+    // lease is charged (`charged` null). The watchdog names its culprits in
+    // `charged`; the agent's other leases return to the head of the queue
+    // with no attempt charged and no backoff, so a unit pipelined behind a
+    // hanging one is never quarantined for it.
+    auto retire_agent = [&](AgentConn& agent, const char* reason,
+                            const std::set<size_t>* charged = nullptr) {
       ++agent_disconnects;
       std::vector<size_t> held;
       for (const auto& [unit_index, lease] : agent.leases) {
@@ -350,7 +381,12 @@ CampaignReport RunDistributedCampaign(
       // the head of the queue (the fold waits on the smallest index).
       std::sort(held.rbegin(), held.rend());
       for (size_t unit_index : held) {
-        requeue_lease(unit_index);
+        if (charged == nullptr || charged->count(unit_index) > 0) {
+          requeue_lease(unit_index);
+        } else {
+          ++expired_leases;
+          queue.push_front(unit_index);
+        }
       }
       if (agent.fd >= 0) {
         ::close(agent.fd);
@@ -486,6 +522,7 @@ CampaignReport RunDistributedCampaign(
                           Int64ToString(fold.attempt(unit_index)));
           Lease lease;
           lease.attempt = fold.attempt(unit_index);
+          lease.sequence = next_lease_sequence++;
           lease.dispatch_seconds = t;
           lease.deadline_seconds = deadline;
           agent.leases[unit_index] = lease;
@@ -636,8 +673,8 @@ CampaignReport RunDistributedCampaign(
         }
       }
 
-      // Watchdog: any lease past its deadline means a unit is stuck on a
-      // live, heartbeating host (an in-agent hang blocks one worker thread,
+      // Watchdog: a started lease past its deadline means a unit is stuck on
+      // a live, heartbeating host (an in-agent hang blocks one worker thread,
       // not the heartbeat thread) — the whole agent is retired and its
       // process SIGKILLed.
       double now = CanonicalFold::Now();
@@ -645,21 +682,17 @@ CampaignReport RunDistributedCampaign(
         if (!agent.alive) {
           continue;
         }
-        bool hung = false;
-        for (const auto& [unit_index, lease] : agent.leases) {
-          if (lease.deadline_seconds > 0 &&
-              now - lease.dispatch_seconds >= lease.deadline_seconds) {
+        const std::set<size_t> hung = overdue_leases(agent, now);
+        if (!hung.empty()) {
+          for (size_t unit_index : hung) {
+            const Lease& lease = agent.leases.at(unit_index);
             ZLOG_WARN << "distributed campaign: watchdog — agent "
                       << agent.index << " exceeded "
                       << DoubleToString(lease.deadline_seconds)
                       << "s deadline on unit " << units[unit_index].test->id;
-            hung = true;
-            break;
           }
-        }
-        if (hung) {
           ++hung_workers;
-          retire_agent(agent, "hung (watchdog)");
+          retire_agent(agent, "hung (watchdog)", &hung);
           continue;
         }
         if (fabric.heartbeat_timeout_seconds > 0 &&
@@ -708,13 +741,6 @@ CampaignReport RunDistributedCampaign(
             cache_hits += value;
           } else if ((value = ParseStatLine(line, "cache_misses")) >= 0) {
             cache_misses += value;
-          } else if ((value = ParseStatLine(line, "equiv_hits")) >= 0) {
-            equiv_hits += value;
-          } else if ((value = ParseStatLine(line, "canonicalized_plans")) >=
-                     0) {
-            canonicalized_plans += value;
-          } else if ((value = ParseStatLine(line, "mispredictions")) >= 0) {
-            mispredictions += value;
           } else if ((value = ParseStatLine(line, "cache_evictions")) >= 0) {
             cache_evictions += value;
           } else if ((value = ParseStatLine(line, "cache_load_failures")) >=
@@ -751,9 +777,6 @@ CampaignReport RunDistributedCampaign(
     // shutdown never reported — accounting, not a determinism surface.
     report.cache_hits = cache_hits;
     report.cache_misses = cache_misses;
-    report.equiv_hits = equiv_hits;
-    report.canonicalized_plans = canonicalized_plans;
-    report.mispredictions = mispredictions;
     report.cache_evictions = cache_evictions;
     report.cache_load_failures = cache_load_failures;
   }

@@ -79,9 +79,6 @@ std::string SerializeUnitResult(size_t unit_index, const UnitWorkResult& unit) {
   properties["filtered_by_hypothesis"] = Int64ToString(unit.filtered_by_hypothesis);
   properties["cache_hits"] = Int64ToString(unit.cache_hits);
   properties["cache_misses"] = Int64ToString(unit.cache_misses);
-  properties["equiv_hits"] = Int64ToString(unit.equiv_hits);
-  properties["canonicalized_plans"] = Int64ToString(unit.canonicalized_plans);
-  properties["mispredictions"] = Int64ToString(unit.mispredictions);
   properties["cache_evictions"] = Int64ToString(unit.cache_evictions);
   properties["coupling_runs"] = Int64ToString(unit.coupling_runs);
   properties["coupling_confirmations"] =
@@ -132,6 +129,8 @@ bool ParseUnitResult(const std::string& text, size_t* unit_index,
   *unit_index = static_cast<size_t>(index);
   unit->app = get("app");
   unit->test_id = get("test_id");
+  // Keys this parser does not read are ignored, so records written before
+  // the equivalence cache's three counters were dropped still resume.
   int64_t candidates = 0;
   int64_t filtered = 0;
   if (!get_int("prerun_executions", &unit->prerun_executions) ||
@@ -143,9 +142,6 @@ bool ParseUnitResult(const std::string& text, size_t* unit_index,
       !get_int("filtered_by_hypothesis", &filtered) ||
       !get_int("cache_hits", &unit->cache_hits) ||
       !get_int("cache_misses", &unit->cache_misses) ||
-      !get_int("equiv_hits", &unit->equiv_hits) ||
-      !get_int("canonicalized_plans", &unit->canonicalized_plans) ||
-      !get_int("mispredictions", &unit->mispredictions) ||
       !get_int("cache_evictions", &unit->cache_evictions)) {
     return false;
   }
@@ -238,9 +234,6 @@ std::string SerializeReport(const CampaignReport& report) {
   properties["wall_seconds"] = DoubleToString(report.wall_seconds);
   properties["cache_hits"] = Int64ToString(report.cache_hits);
   properties["cache_misses"] = Int64ToString(report.cache_misses);
-  properties["equiv_hits"] = Int64ToString(report.equiv_hits);
-  properties["canonicalized_plans"] = Int64ToString(report.canonicalized_plans);
-  properties["mispredictions"] = Int64ToString(report.mispredictions);
   properties["cache_evictions"] = Int64ToString(report.cache_evictions);
   properties["coupling_runs"] = Int64ToString(report.coupling_runs);
   properties["coupling_confirmations"] =
@@ -341,11 +334,6 @@ CampaignReport DeserializeReport(const std::string& text) {
   report.wall_seconds = wall;
   ParseInt64(GetOr(properties, "cache_hits", "0"), &report.cache_hits);
   ParseInt64(GetOr(properties, "cache_misses", "0"), &report.cache_misses);
-  // Absent in pre-equivalence serializations: the layer did not exist.
-  ParseInt64(GetOr(properties, "equiv_hits", "0"), &report.equiv_hits);
-  ParseInt64(GetOr(properties, "canonicalized_plans", "0"),
-             &report.canonicalized_plans);
-  ParseInt64(GetOr(properties, "mispredictions", "0"), &report.mispredictions);
   ParseInt64(GetOr(properties, "cache_evictions", "0"), &report.cache_evictions);
   // Absent in pre-coupling serializations.
   ParseInt64(GetOr(properties, "coupling_runs", "0"), &report.coupling_runs);

@@ -84,13 +84,6 @@ std::string RenderMarkdownReport(const CampaignReport& report,
         << report.cache_misses << " misses ("
         << static_cast<int>(hit_rate) << "% hit rate)\n";
   }
-  if (report.equiv_hits > 0 || report.canonicalized_plans > 0 ||
-      report.mispredictions > 0) {
-    out << "* observational equivalence: " << report.equiv_hits
-        << " cross-plan hits, " << report.canonicalized_plans
-        << " plans canonicalized, " << report.mispredictions
-        << " mispredictions (fell back to execution)\n";
-  }
   if (report.cache_evictions > 0) {
     out << "* run-cache evictions (LRU budget): " << report.cache_evictions << "\n";
   }

@@ -63,9 +63,7 @@ struct GeneratorOptions {
   // Pre-run read-set instance pruning (§4): only enumerate (parameter,
   // entity) targets the pre-run saw that entity read. Disabling it models a
   // user without pre-run knowledge — every started node group is targeted
-  // for every parameter — and is the regime where the observational-
-  // equivalence cache layer must recover the pruning dynamically
-  // (bench_equiv_dedup).
+  // for every parameter (the paper's Table 5 ablation).
   bool prune_unread_instances = true;
 
   // Optional zebralint prior (§8: static analysis shrinks the dynamic search

@@ -356,9 +356,6 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
     RunCache::Stats stats = shared_cache->stats();
     fold.report().cache_hits = stats.hits;
     fold.report().cache_misses = stats.misses;
-    fold.report().equiv_hits = stats.equiv_hits;
-    fold.report().canonicalized_plans = stats.canonicalized_plans;
-    fold.report().mispredictions = stats.mispredictions;
     fold.report().cache_evictions = stats.evictions;
     fold.report().cache_load_failures = stats.load_failures;
   }

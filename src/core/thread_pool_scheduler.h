@@ -16,9 +16,9 @@
 //     intern arena, own conf registry) for the whole worker lifetime.
 //   * Campaign engine — each worker owns a private Campaign (generator,
 //     runner, options copy); RunUnit never touches another worker's engine.
-//   * Harness globals — the run-cache installation pointer, the pre-run
-//     ReadSurface pointer, and the duration collector are thread_local, so a
-//     worker's installation windows never leak across threads.
+//   * Harness globals — the run-cache installation pointer and the duration
+//     collector are thread_local, so a worker's installation windows never
+//     leak across threads.
 //   * SimClock/Cluster — already per-TestContext; nothing to do.
 //
 // What *is* shared is chosen, not accidental: when the campaign enables a

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "src/common/logging.h"
-#include "src/conf/plan_equiv.h"
 
 namespace zebra {
 
@@ -75,8 +74,6 @@ bool DeserializeSessionReport(const std::string& blob, SessionReport* report) {
       report->reads[rest.substr(0, s)].insert(rest.substr(s + 1));
     } else if (tag == "uncertain") {
       report->uncertain_params.insert(rest);
-    } else if (tag == "trace") {
-      report->trace_elements.insert(rest);
     } else if (tag == "counters") {
       std::istringstream fields(rest);
       if (!(fields >> report->conf_objects_created >> report->clones >>
@@ -100,20 +97,19 @@ bool DeserializeSessionReport(const std::string& blob, SessionReport* report) {
   return true;
 }
 
-// v2 added the trailing "C <fnv64 hex>" whole-file checksum line. v1 files
-// (no checksum) are rejected as corrupt: the cache is an optimization, so a
-// one-time cold start on upgrade is cheaper than trusting an unverifiable
-// file. The hash-keyed index did not bump the version: keys are persisted in
-// their legacy string form, so v2 files round-trip unchanged.
-constexpr char kCacheFileMagic[] = "zebra-run-cache-v2";
+// v2 added the trailing "C <fnv64 hex>" whole-file checksum line; v3 dropped
+// each entry's "T" (observed read trace) line and the report's "trace" tags.
+// Older files are rejected whole: the cache is an optimization, so a one-time
+// cold start on upgrade is cheaper than trusting a file of another shape.
+// The hash-keyed index did not bump the version: keys are persisted in their
+// legacy string form.
+constexpr char kCacheFileMagic[] = "zebra-run-cache-v3";
 
 // One-byte separators folded into key digests (string_view avoids the
 // char overload ambiguity and keeps the fold identical to hashing the
 // concatenated string).
 constexpr std::string_view kSep = "\x1f";
 constexpr std::string_view kSepStar = "\x1f*";
-constexpr std::string_view kCanonicalTag = "C\x1f";
-constexpr std::string_view kTraceTag = "T\x1f";
 
 }  // namespace
 
@@ -134,9 +130,6 @@ std::string SerializeSessionReport(const SessionReport& report) {
   for (const std::string& param : report.uncertain_params) {
     out << "uncertain " << param << '\n';
   }
-  for (const std::string& element : report.trace_elements) {
-    out << "trace " << element << '\n';
-  }
   out << "counters " << report.conf_objects_created << ' ' << report.clones << ' '
       << report.ref_to_clones << ' ' << report.uncertain_conf_count << ' '
       << report.override_hits << '\n';
@@ -152,9 +145,7 @@ RunCache* GlobalRunCache() { return g_run_cache; }
 // '\x1f' (unit separator) cannot appear in test ids or plan fingerprints, so
 // the concatenation is injective; the full string defines the key — the
 // 128-bit digests below are digests *of these strings*, derived without
-// materializing them. The equivalence namespaces get a distinct tag prefix
-// so a canonical fingerprint can never collide with a plan fingerprint of
-// the same text.
+// materializing them.
 std::string RunCache::ExactKey(const std::string& test_id, const std::string& plan_text,
                                uint64_t trial) {
   return test_id + '\x1f' + plan_text + '\x1f' + std::to_string(trial);
@@ -163,15 +154,6 @@ std::string RunCache::ExactKey(const std::string& test_id, const std::string& pl
 std::string RunCache::WildcardKey(const std::string& test_id,
                                   const std::string& plan_text) {
   return test_id + '\x1f' + plan_text + "\x1f*";
-}
-
-std::string RunCache::CanonicalKey(const std::string& test_id,
-                                   const std::string& canonical_fingerprint) {
-  return std::string("C\x1f") + test_id + '\x1f' + canonical_fingerprint + "\x1f*";
-}
-
-std::string RunCache::TraceKey(const std::string& test_id, const std::string& trace) {
-  return std::string("T\x1f") + test_id + '\x1f' + trace + "\x1f*";
 }
 
 // The component folds. FNV chains over concatenation, so each of these is
@@ -194,29 +176,10 @@ Digest128 RunCache::WildcardRunKey(const std::string& test_id,
   return HashFnv128(kSepStar, digest);
 }
 
-Digest128 RunCache::CanonicalRunKey(const std::string& test_id,
-                                    const std::string& canonical_fingerprint) {
-  Digest128 digest = HashFnv128(kCanonicalTag);
-  digest = HashFnv128(test_id, digest);
-  digest = HashFnv128(kSep, digest);
-  digest = HashFnv128(canonical_fingerprint, digest);
-  return HashFnv128(kSepStar, digest);
-}
-
-Digest128 RunCache::TraceRunKey(const std::string& test_id,
-                                const std::string& trace) {
-  Digest128 digest = HashFnv128(kTraceTag);
-  digest = HashFnv128(test_id, digest);
-  digest = HashFnv128(kSep, digest);
-  digest = HashFnv128(trace, digest);
-  return HashFnv128(kSepStar, digest);
-}
-
-int64_t RunCache::EntryBytes(const std::string& legacy_key, const Entry& entry) {
-  const TestResult& result = *entry.result;
+int64_t RunCache::EntryBytes(const std::string& legacy_key,
+                             const TestResult& result) {
   const SessionReport& report = result.report;
   int64_t bytes = static_cast<int64_t>(sizeof(Node) + legacy_key.size() +
-                                       entry.observed_trace.size() +
                                        result.failure.size());
   for (const auto& [type, count] : report.node_counts) {
     bytes += static_cast<int64_t>(type.size()) + 8;
@@ -229,9 +192,6 @@ int64_t RunCache::EntryBytes(const std::string& legacy_key, const Entry& entry) 
   }
   for (const std::string& param : report.uncertain_params) {
     bytes += static_cast<int64_t>(param.size());
-  }
-  for (const std::string& element : report.trace_elements) {
-    bytes += static_cast<int64_t>(element.size());
   }
   return bytes;
 }
@@ -247,7 +207,7 @@ RunCache::Node* RunCache::Touch(Digest128 key) {
 
 template <typename MakeLegacy>
 bool RunCache::InsertEntry(Digest128 key, MakeLegacy&& make_legacy,
-                           const std::shared_ptr<const Entry>& entry) {
+                           const std::shared_ptr<const TestResult>& result) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     // First result wins; identical by construction — unless the legacy keys
@@ -256,55 +216,24 @@ bool RunCache::InsertEntry(Digest128 key, MakeLegacy&& make_legacy,
     // an ambiguous digest (a re-execution is cheap, a wrong serve is not).
     if (it->second->legacy_key != make_legacy()) {
       ++stats_.key_collisions;
-      stats_.bytes -= EntryBytes(it->second->legacy_key, *it->second->entry);
+      stats_.bytes -= EntryBytes(it->second->legacy_key, *it->second->result);
       lru_.erase(it->second);
       index_.erase(it);
       --stats_.entries;
     }
     return false;
   }
-  return InsertEntryWithLegacy(key, make_legacy(), entry);
+  return InsertEntryWithLegacy(key, make_legacy(), result);
 }
 
 bool RunCache::InsertEntryWithLegacy(Digest128 key, std::string legacy_key,
-                                     const std::shared_ptr<const Entry>& entry) {
-  stats_.bytes += EntryBytes(legacy_key, *entry);
-  lru_.push_front(Node{key, std::move(legacy_key), entry});
+                                     const std::shared_ptr<const TestResult>& result) {
+  stats_.bytes += EntryBytes(legacy_key, *result);
+  lru_.push_front(Node{key, std::move(legacy_key), result});
   index_[key] = lru_.begin();
   ++stats_.entries;
   EnforceLimits();
   return true;
-}
-
-const RunCache::Entry* RunCache::MatchByRestriction(
-    const std::string& test_id, const TestPlan& plan,
-    const std::string& predicted_trace) {
-  // Newest-first, bounded: the runs restriction matching exists to collapse
-  // (bisection re-probes, early-stopped failing paths) are re-queried shortly
-  // after they were stored, so scanning the most recent candidates catches
-  // them while keeping per-miss cost independent of corpus size. A candidate
-  // beyond the cap only costs a re-execution, never a wrong serve.
-  constexpr int kMaxCandidates = 64;
-  auto keys_it = trace_keys_by_test_.find(test_id);
-  if (keys_it == trace_keys_by_test_.end()) {
-    return nullptr;
-  }
-  const std::vector<Digest128>& keys = keys_it->second;
-  int scanned = 0;
-  for (auto key = keys.rbegin(); key != keys.rend() && scanned < kMaxCandidates;
-       ++key) {
-    auto it = index_.find(*key);
-    if (it == index_.end()) {
-      continue;  // evicted since registration
-    }
-    ++scanned;
-    const Entry& entry = *it->second->entry;
-    if (PlanReproducesObservedTrace(plan, entry.observed_trace, predicted_trace)) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return lru_.front().entry.get();
-    }
-  }
-  return nullptr;
 }
 
 void RunCache::EnforceLimits() {
@@ -312,7 +241,7 @@ void RunCache::EnforceLimits() {
          ((limits_.max_entries > 0 && stats_.entries > limits_.max_entries) ||
           (limits_.max_bytes > 0 && stats_.bytes > limits_.max_bytes))) {
     const Node& node = lru_.back();
-    stats_.bytes -= EntryBytes(node.legacy_key, *node.entry);
+    stats_.bytes -= EntryBytes(node.legacy_key, *node.result);
     index_.erase(node.key);
     lru_.pop_back();
     --stats_.entries;
@@ -321,158 +250,74 @@ void RunCache::EnforceLimits() {
 }
 
 const TestResult* RunCache::Lookup(const std::string& test_id,
-                                   const std::string& plan_text, uint64_t trial,
-                                   EquivQuery* equiv) {
+                                   const std::string& plan_text, uint64_t trial) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = LookupLocked(test_id, plan_text, trial, equiv);
-  return entry == nullptr ? nullptr : entry->result.get();
+  const Node* node = LookupLocked(test_id, plan_text, trial);
+  return node == nullptr ? nullptr : node->result.get();
 }
 
 bool RunCache::Lookup(const std::string& test_id, const std::string& plan_text,
-                      uint64_t trial, EquivQuery* equiv, TestResult* out) {
+                      uint64_t trial, TestResult* out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = LookupLocked(test_id, plan_text, trial, equiv);
-  if (entry == nullptr) {
+  const Node* node = LookupLocked(test_id, plan_text, trial);
+  if (node == nullptr) {
     return false;
   }
-  *out = *entry->result;
+  *out = *node->result;
   return true;
 }
 
 std::shared_ptr<const TestResult> RunCache::LookupShared(
-    const std::string& test_id, const std::string& plan_text, uint64_t trial,
-    EquivQuery* equiv) {
+    const std::string& test_id, const std::string& plan_text, uint64_t trial) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const Entry* entry = LookupLocked(test_id, plan_text, trial, equiv);
+  const Node* node = LookupLocked(test_id, plan_text, trial);
   // Refcount bump under the lock; the payload is immutable and outlives any
   // eviction, so the caller's pointer is safe without a copy.
-  return entry == nullptr ? nullptr : entry->result;
+  return node == nullptr ? nullptr : node->result;
 }
 
-const RunCache::Entry* RunCache::LookupLocked(const std::string& test_id,
-                                              const std::string& plan_text,
-                                              uint64_t trial, EquivQuery* equiv) {
-  if (Node* node = Touch(WildcardRunKey(test_id, plan_text))) {
+const RunCache::Node* RunCache::LookupLocked(const std::string& test_id,
+                                             const std::string& plan_text,
+                                             uint64_t trial) {
+  const Node* node = Touch(WildcardRunKey(test_id, plan_text));
+  if (node == nullptr) {
+    node = Touch(ExactRunKey(test_id, plan_text, trial));
+  }
+  if (node != nullptr) {
     ++stats_.hits;
-    return node->entry.get();
+  } else {
+    ++stats_.misses;
   }
-  if (Node* node = Touch(ExactRunKey(test_id, plan_text, trial))) {
-    ++stats_.hits;
-    return node->entry.get();
-  }
-  if (equiv != nullptr && equiv->surface != nullptr && equiv->plan != nullptr) {
-    // Derive the equivalence keys only now, past the exact fast path, so
-    // exact hits pay nothing for the layer.
-    if (!equiv->computed) {
-      CanonicalPlan canonical = equiv->surface->Canonicalize(*equiv->plan);
-      equiv->canonical_fingerprint = std::move(canonical.fingerprint);
-      equiv->plan_canonicalized = canonical.changed;
-      equiv->has_trace =
-          equiv->surface->PredictTrace(*equiv->plan, &equiv->predicted_trace);
-      equiv->computed = true;
-      if (equiv->plan_canonicalized) {
-        ++stats_.canonicalized_plans;
-      }
-    }
-    // Canonical-fingerprint index: same canonical form implies the same
-    // served value at every promised read. Serving is still gated on the
-    // stored execution's observed trace matching this plan's prediction —
-    // if the pre-run promise was broken (a value-gated read appeared), the
-    // traces differ and the serve is refused.
-    if (Node* node =
-            Touch(CanonicalRunKey(test_id, equiv->canonical_fingerprint))) {
-      if (equiv->has_trace &&
-          node->entry->observed_trace == equiv->predicted_trace) {
-        ++stats_.equiv_hits;
-        return node->entry.get();
-      }
-      ++stats_.mispredictions;
-    }
-    if (equiv->has_trace) {
-      // Trace index fast path: the key *is* the stored execution's observed
-      // trace, so a hit is self-validating — predicted == observed by key
-      // equality.
-      if (Node* node = Touch(TraceRunKey(test_id, equiv->predicted_trace))) {
-        ++stats_.equiv_hits;
-        return node->entry.get();
-      }
-      // Restriction matching: the full-trace key misses whenever the stored
-      // execution stopped early (its observed trace is a strict prefix of
-      // any full prediction), so scan this test's stored traces for one this
-      // plan reproduces element for element.
-      if (const Entry* entry = MatchByRestriction(test_id, *equiv->plan,
-                                                  equiv->predicted_trace)) {
-        ++stats_.equiv_hits;
-        return entry;
-      }
-    }
-  }
-  ++stats_.misses;
-  return nullptr;
+  return node;
 }
 
 void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
                       uint64_t trial, bool trial_insensitive,
-                      std::shared_ptr<const TestResult> result,
-                      const EquivQuery* equiv,
-                      const std::string* observed_trace) {
+                      std::shared_ptr<const TestResult> result) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto entry = std::make_shared<Entry>();
-  entry->result = std::move(result);
-  if (observed_trace != nullptr) {
-    entry->observed_trace = *observed_trace;
-  }
   InsertEntry(ExactRunKey(test_id, plan_text, trial),
-              [&] { return ExactKey(test_id, plan_text, trial); }, entry);
+              [&] { return ExactKey(test_id, plan_text, trial); }, result);
   if (!trial_insensitive) {
-    // Trial-sensitive executions are never shared across trials or plans:
-    // the RNG seed folds in the plan description, so different descriptions
-    // legitimately diverge.
+    // Trial-sensitive executions are never shared across trials: the RNG
+    // seed folds in the trial, so different trials legitimately diverge.
     return;
   }
   InsertEntry(WildcardRunKey(test_id, plan_text),
-              [&] { return WildcardKey(test_id, plan_text); }, entry);
-  if (observed_trace == nullptr || observed_trace->empty()) {
-    return;
-  }
-  // Index by what the execution actually observed — always truthful, and
-  // deliberately not gated on `equiv`: the pre-run baseline executes before
-  // the unit's ReadSurface exists, yet must be reachable by plans that later
-  // collapse to it.
-  Digest128 trace_key = TraceRunKey(test_id, *observed_trace);
-  if (InsertEntry(trace_key, [&] { return TraceKey(test_id, *observed_trace); },
-                  entry)) {
-    trace_keys_by_test_[test_id].push_back(trace_key);
-  }
-  if (equiv == nullptr || !equiv->computed) {
-    return;
-  }
-  if (equiv->has_trace && equiv->predicted_trace != *observed_trace) {
-    // The pre-run promise was broken for this plan: a value-gated read
-    // appeared or a promised read vanished. The canonical index would
-    // conflate this run with plans it is not equivalent to, so skip it.
-    ++stats_.mispredictions;
-    return;
-  }
-  InsertEntry(CanonicalRunKey(test_id, equiv->canonical_fingerprint),
-              [&] { return CanonicalKey(test_id, equiv->canonical_fingerprint); },
-              entry);
+              [&] { return WildcardKey(test_id, plan_text); }, result);
 }
 
 void RunCache::Insert(const std::string& test_id, const std::string& plan_text,
                       uint64_t trial, bool trial_insensitive,
-                      const TestResult& result, const EquivQuery* equiv,
-                      const std::string* observed_trace) {
+                      const TestResult& result) {
   Insert(test_id, plan_text, trial, trial_insensitive,
-         std::make_shared<const TestResult>(result), equiv, observed_trace);
+         std::make_shared<const TestResult>(result));
 }
 
 bool RunCache::InsertAliasForTesting(Digest128 key, std::string legacy_key,
                                      const TestResult& result) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto entry = std::make_shared<Entry>();
-  entry->result = std::make_shared<const TestResult>(result);
-  return InsertEntry(key, [&] { return legacy_key; }, entry);
+  return InsertEntry(key, [&] { return legacy_key; },
+                     std::make_shared<const TestResult>(result));
 }
 
 bool RunCache::SaveToFile(const std::string& path) const {
@@ -494,37 +339,19 @@ bool RunCache::SaveToFile(const std::string& path) const {
   // Keys persist in their legacy string form, so the format is independent
   // of the in-memory digest scheme.
   for (const Node& node : lru_) {
-    const Entry& entry = *node.entry;
     emit("K " + EscapeLine(node.legacy_key));
-    emit(std::string("P ") + (entry.result->passed ? "1" : "0"));
-    emit("F " + EscapeLine(entry.result->failure));
-    emit("T " + EscapeLine(entry.observed_trace));
-    emit("R " + EscapeLine(SerializeSessionReport(entry.result->report)));
+    emit(std::string("P ") + (node.result->passed ? "1" : "0"));
+    emit("F " + EscapeLine(node.result->failure));
+    emit("R " + EscapeLine(SerializeSessionReport(node.result->report)));
   }
   out << "C " << HashToHex(digest) << '\n';
   return static_cast<bool>(out);
 }
 
 // Re-derives a persisted key's digest through the same component folds the
-// hot path uses (parsing the legacy shape: tagged canonical/trace keys, then
-// exact/wildcard). Returns false for a shape SaveToFile never emits.
+// hot path uses (parsing the legacy exact/wildcard shape). Returns false for
+// a shape SaveToFile never emits.
 bool RunCache::DeriveComponentDigest(const std::string& key, Digest128* out) {
-  auto ends_with_sep_star = [&key] {
-    return key.size() >= 2 && key[key.size() - 2] == '\x1f' && key.back() == '*';
-  };
-  if (key.size() >= 2 && (key[0] == 'C' || key[0] == 'T') && key[1] == '\x1f') {
-    size_t id_end = key.find('\x1f', 2);
-    if (id_end == std::string::npos || !ends_with_sep_star() ||
-        id_end + 1 > key.size() - 2) {
-      return false;
-    }
-    const std::string test_id = key.substr(2, id_end - 2);
-    const std::string payload =
-        key.substr(id_end + 1, key.size() - 2 - (id_end + 1));
-    *out = key[0] == 'C' ? CanonicalRunKey(test_id, payload)
-                         : TraceRunKey(test_id, payload);
-    return true;
-  }
   size_t id_end = key.find('\x1f');
   size_t tail_sep = key.rfind('\x1f');
   if (id_end == std::string::npos || tail_sep == id_end) {
@@ -554,7 +381,6 @@ bool RunCache::LoadFromFile(const std::string& path) {
   }
   lru_.clear();
   index_.clear();
-  trace_keys_by_test_.clear();
   stats_.entries = 0;
   stats_.bytes = 0;
 
@@ -566,7 +392,6 @@ bool RunCache::LoadFromFile(const std::string& path) {
               << "); starting cold";
     lru_.clear();
     index_.clear();
-    trace_keys_by_test_.clear();
     stats_.entries = 0;
     stats_.bytes = 0;
     ++stats_.load_failures;
@@ -601,16 +426,13 @@ bool RunCache::LoadFromFile(const std::string& path) {
     std::string key;
     std::string passed;
     auto result = std::make_shared<TestResult>();
-    auto entry = std::make_shared<Entry>();
     std::string blob;
     if (!read_field('K', &key) || !read_field('P', &passed) ||
-        !read_field('F', &result->failure) ||
-        !read_field('T', &entry->observed_trace) || !read_field('R', &blob) ||
+        !read_field('F', &result->failure) || !read_field('R', &blob) ||
         !DeserializeSessionReport(blob, &result->report)) {
       return reject("truncated or corrupt entry");
     }
     result->passed = passed == "1";
-    entry->result = std::move(result);
     // The hashed/legacy agreement gate: the digest of the whole persisted
     // string must equal the digest the hot path would fold from its
     // components. A divergence means the two lookup schemes would disagree
@@ -628,26 +450,17 @@ bool RunCache::LoadFromFile(const std::string& path) {
       // A 128-bit collision inside one file: drop both sides, as at insert.
       ++stats_.key_collisions;
       stats_.bytes -=
-          EntryBytes(existing->second->legacy_key, *existing->second->entry);
+          EntryBytes(existing->second->legacy_key, *existing->second->result);
       lru_.erase(existing->second);
       index_.erase(existing);
       --stats_.entries;
       continue;
     }
     // File order is most-to-least recent; append keeps it.
-    stats_.bytes += EntryBytes(key, *entry);
-    lru_.push_back(Node{whole_key, key, std::move(entry)});
-    auto it = std::prev(lru_.end());
-    index_[whole_key] = it;
+    stats_.bytes += EntryBytes(key, *result);
+    lru_.push_back(Node{whole_key, key, std::move(result)});
+    index_[whole_key] = std::prev(lru_.end());
     ++stats_.entries;
-    // Re-register trace-indexed entries ("T\x1f" + test_id + '\x1f' + ...)
-    // for restriction matching.
-    if (key.rfind("T\x1f", 0) == 0) {
-      size_t id_end = key.find('\x1f', 2);
-      if (id_end != std::string::npos) {
-        trace_keys_by_test_[key.substr(2, id_end - 2)].push_back(whole_key);
-      }
-    }
   }
   // The checksum line covers everything above it (it is not folded into the
   // digest itself).

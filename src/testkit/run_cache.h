@@ -21,30 +21,16 @@
 // trials of the same (test, plan) hit as well.
 //
 // Keys are 128-bit FNV-1a digests (common/strings.h Digest128) of the legacy
-// string keys — test id, plan fingerprint, and trial joined with '\x1f', plus
-// the tagged canonical/trace namespaces. The digest is derived by folding the
-// key *components* (the digest of a concatenation is the fold of its pieces),
-// so the hot path never materializes a key string; the string form survives
-// only in the checksummed persistence format. 128 bits makes an accidental
-// collision negligible, and the insert path still compares the stored legacy
-// string against the incoming one, so even the negligible case is detected
+// string keys — test id, plan fingerprint, and trial joined with '\x1f'. The
+// digest is derived by folding the key *components* (the digest of a
+// concatenation is the fold of its pieces), so the hot path never
+// materializes a key string; the string form survives only in the
+// checksummed persistence format. 128 bits makes an accidental collision
+// negligible, and the insert path still compares the stored legacy string
+// against the incoming one, so even the negligible case is detected
 // (Stats::key_collisions), evicted, and re-executed — never served wrong.
 // LoadFromFile gates every persisted key on the hashed and legacy derivations
 // agreeing, proving the two lookups stay interchangeable.
-//
-// On top of exact matching sits the observational-equivalence layer (see
-// plan_equiv.h). Trial-insensitive executions are additionally indexed by
-//   * their canonical plan fingerprint (override entries no targeted conf
-//     ever reads dropped, entries sorted), and
-//   * the trace of (entity, param, value-served) observations they actually
-//     made,
-// so a later plan that is observationally identical reuses the result even
-// when its description differs. Serving through either key is gated on trace
-// validation: the stored execution's *observed* trace must be byte-identical
-// to the trace the current plan *predicts*, which proves by induction over
-// the read sequence that the stored execution is the one this plan would
-// have produced. Mispredictions (the pre-run promise was broken) are counted
-// and fall back to real execution — never trusted.
 //
 // Serving from cache never changes campaign results: the stored TestResult is
 // exactly what a real run would return. Stage counters (executed_runs and
@@ -59,10 +45,9 @@
 // Ownership: one cache per thread of execution, installed via
 // SetGlobalRunCache (RAII: ScopedRunCache; the installed pointer is
 // thread-local). Campaign owns a cache when CampaignOptions.enable_run_cache
-// is set; parallel-scheduler workers each own a per-process cache that
-// persists across the work units they execute; the thread-pool scheduler
-// installs one *shared* cache on every worker thread, so a result computed
-// by one worker is served to all. All public methods are internally
+// is set; the thread-pool scheduler (and each fabric agent) installs one
+// *shared* cache on every worker thread, so a result computed by one worker
+// is served to all. All public methods are internally
 // synchronized (a single mutex — the cache is consulted once per unit-test
 // execution, so contention is negligible next to a run). The
 // pointer-returning Lookup is only safe when the caller serializes all
@@ -80,34 +65,11 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "src/common/strings.h"
 #include "src/testkit/test_execution.h"
 
 namespace zebra {
-
-class ReadSurface;
-
-// The equivalence-layer context for one lookup/insert: the unit's pre-run
-// ReadSurface and the plan being run (neither owned; `plan` is dereferenced
-// only during Lookup, so the caller may move the plan away afterwards).
-// RunCache derives the canonical fingerprint and predicted trace lazily —
-// only once the exact keys have missed, so exact hits pay nothing for the
-// layer — and caches them here so the matching Insert can validate the
-// pre-run promise without recomputing. An empty canonical fingerprint is
-// meaningful (the plan collapsed to the homogeneous baseline).
-struct EquivQuery {
-  const ReadSurface* surface = nullptr;
-  const TestPlan* plan = nullptr;
-
-  // Filled by RunCache::Lookup on the first exact miss.
-  bool computed = false;
-  std::string canonical_fingerprint;
-  bool plan_canonicalized = false;  // canonical form differs from the plan's own
-  bool has_trace = false;
-  std::string predicted_trace;
-};
 
 class RunCache {
  public:
@@ -121,12 +83,7 @@ class RunCache {
     int64_t misses = 0;
     int64_t entries = 0;
     int64_t bytes = 0;   // approximate resident bytes across all entries
-
-    // Observational-equivalence accounting.
-    int64_t equiv_hits = 0;            // serves via canonical or trace key
-    int64_t canonicalized_plans = 0;   // plans rewritten to a smaller canonical form
-    int64_t mispredictions = 0;        // predicted trace != observed/stored trace
-    int64_t evictions = 0;             // LRU evictions under Limits
+    int64_t evictions = 0;  // LRU evictions under Limits
 
     // Two distinct legacy keys digesting to the same 128-bit key (insert- or
     // load-time cross-check). The colliding entry is dropped — a future miss
@@ -151,20 +108,16 @@ class RunCache {
   explicit RunCache(Limits limits) : limits_(limits) {}
 
   // Returns the cached result for the triple, or nullptr. A trial-wildcard
-  // entry (stored by a trial-insensitive execution) matches any trial; when
-  // `equiv` carries a surface and plan, the canonical-fingerprint and
-  // predicted-trace keys are consulted next — each serve gated on trace
-  // validation — and finally this test's stored traces are scanned for one
-  // the plan provably reproduces (restriction matching). Counts a hit, an
-  // equiv hit, or a miss. Single-threaded callers only (see file comment).
+  // entry (stored by a trial-insensitive execution) matches any trial. Counts
+  // a hit or a miss. Single-threaded callers only (see file comment).
   const TestResult* Lookup(const std::string& test_id, const std::string& plan_text,
-                           uint64_t trial, EquivQuery* equiv = nullptr);
+                           uint64_t trial);
 
   // Copy-out variant, safe under concurrent mutation: the result is copied
   // into `out` while the lock is held, so no pointer into the LRU escapes.
   // Returns true on a hit.
   bool Lookup(const std::string& test_id, const std::string& plan_text,
-              uint64_t trial, EquivQuery* equiv, TestResult* out);
+              uint64_t trial, TestResult* out);
 
   // Shared-ownership variant, safe under concurrent mutation *without* the
   // deep copy: the returned pointer shares ownership of the immutable cache
@@ -172,27 +125,18 @@ class RunCache {
   // entry right after the lock is released. This is what RunUnitTest uses.
   std::shared_ptr<const TestResult> LookupShared(const std::string& test_id,
                                                  const std::string& plan_text,
-                                                 uint64_t trial,
-                                                 EquivQuery* equiv = nullptr);
+                                                 uint64_t trial);
 
   // Stores the result of a real execution. `trial_insensitive` executions are
-  // stored under the wildcard key as well, so every future trial hits, and
-  // additionally under their observed trace. When `equiv` carries the
-  // predictions the preceding Lookup derived and the prediction held, the
-  // result is also indexed by the canonical fingerprint; a broken prediction
-  // counts a misprediction and skips the canonical index. The shared-pointer
-  // overload stores the caller's result without copying it (every key alias
-  // shares one payload); the by-value overload is a convenience that wraps
-  // its argument.
+  // stored under the wildcard key as well, so every future trial hits. The
+  // shared-pointer overload stores the caller's result without copying it
+  // (both key aliases share one payload); the by-value overload is a
+  // convenience that wraps its argument.
   void Insert(const std::string& test_id, const std::string& plan_text,
               uint64_t trial, bool trial_insensitive,
-              std::shared_ptr<const TestResult> result,
-              const EquivQuery* equiv = nullptr,
-              const std::string* observed_trace = nullptr);
+              std::shared_ptr<const TestResult> result);
   void Insert(const std::string& test_id, const std::string& plan_text,
-              uint64_t trial, bool trial_insensitive, const TestResult& result,
-              const EquivQuery* equiv = nullptr,
-              const std::string* observed_trace = nullptr);
+              uint64_t trial, bool trial_insensitive, const TestResult& result);
 
   // Test-only: inserts `result` under a forced 128-bit key with the given
   // legacy string, bypassing key derivation. Returns false when the insert
@@ -210,7 +154,6 @@ class RunCache {
   void ResetStats() {
     std::lock_guard<std::mutex> lock(mutex_);
     stats_.hits = stats_.misses = 0;
-    stats_.equiv_hits = stats_.canonicalized_plans = stats_.mispredictions = 0;
   }
 
   Limits limits() const {
@@ -247,19 +190,12 @@ class RunCache {
                               uint64_t trial);
   static std::string WildcardKey(const std::string& test_id,
                                  const std::string& plan_text);
-  static std::string CanonicalKey(const std::string& test_id,
-                                  const std::string& canonical_fingerprint);
-  static std::string TraceKey(const std::string& test_id, const std::string& trace);
 
   // Component-folded digests of exactly the strings above, no allocation.
   static Digest128 ExactRunKey(const std::string& test_id,
                                const std::string& plan_text, uint64_t trial);
   static Digest128 WildcardRunKey(const std::string& test_id,
                                   const std::string& plan_text);
-  static Digest128 CanonicalRunKey(const std::string& test_id,
-                                   const std::string& canonical_fingerprint);
-  static Digest128 TraceRunKey(const std::string& test_id,
-                               const std::string& trace);
 
   // Re-derives a persisted key's digest through the component folds above by
   // parsing the legacy shape. Returns false for a shape SaveToFile never
@@ -267,20 +203,14 @@ class RunCache {
   static bool DeriveComponentDigest(const std::string& key, Digest128* out);
 
  private:
-  // One stored execution, shared by every key alias pointing at it (exact,
-  // wildcard, canonical, trace): inserting under four keys costs one payload
-  // allocation, and LookupShared serves by refcount bump instead of deep
-  // copy. Immutable once inserted — that immutability is what makes sharing
-  // across worker threads safe.
-  struct Entry {
-    std::shared_ptr<const TestResult> result;
-    std::string observed_trace;  // empty when recorded without a surface
-  };
-
+  // One stored execution. Exact and wildcard aliases share one immutable
+  // payload: inserting under both keys costs one allocation, and
+  // LookupShared serves by refcount bump instead of deep copy. That
+  // immutability is what makes sharing across worker threads safe.
   struct Node {
     Digest128 key;
     std::string legacy_key;  // persistence form; also the collision check
-    std::shared_ptr<const Entry> entry;
+    std::shared_ptr<const TestResult> result;
   };
   using LruList = std::list<Node>;
 
@@ -290,7 +220,7 @@ class RunCache {
     }
   };
 
-  static int64_t EntryBytes(const std::string& legacy_key, const Entry& entry);
+  static int64_t EntryBytes(const std::string& legacy_key, const TestResult& result);
 
   // Returns the node for `key` and marks it most-recently-used.
   Node* Touch(Digest128 key);
@@ -299,32 +229,19 @@ class RunCache {
   // actually inserted (the common duplicate-alias case pays nothing).
   template <typename MakeLegacy>
   bool InsertEntry(Digest128 key, MakeLegacy&& make_legacy,
-                   const std::shared_ptr<const Entry>& entry);
+                   const std::shared_ptr<const TestResult>& result);
   bool InsertEntryWithLegacy(Digest128 key, std::string legacy_key,
-                             const std::shared_ptr<const Entry>& entry);
+                             const std::shared_ptr<const TestResult>& result);
   void EnforceLimits();
 
-  // The full lookup sequence (exact -> wildcard -> equivalence layers).
-  // Caller holds mutex_; the returned entry pointer is valid only until
-  // release (share the payload before unlocking).
-  const Entry* LookupLocked(const std::string& test_id,
-                            const std::string& plan_text, uint64_t trial,
-                            EquivQuery* equiv);
-
-  // Restriction matching: scans this test's trace-indexed entries for one
-  // whose *observed* elements all re-derive identically under `plan` (see
-  // PlanReproducesObservedTrace). Sufficient even for executions that
-  // stopped early, so this is what collapses failing-path re-runs. Any
-  // matching entry is provably the execution `plan` would produce, so first
-  // match serves.
-  const Entry* MatchByRestriction(const std::string& test_id, const TestPlan& plan,
-                                  const std::string& predicted_trace);
+  // The lookup sequence (wildcard, then exact). Caller holds mutex_; the
+  // returned node is valid only until release (share the payload before
+  // unlocking).
+  const Node* LookupLocked(const std::string& test_id,
+                           const std::string& plan_text, uint64_t trial);
 
   LruList lru_;  // front = most recently used
   std::unordered_map<Digest128, LruList::iterator, KeyHash> index_;
-  // Trace-key registry per test, in insertion order; evicted keys are skipped
-  // lazily (they no longer resolve through index_).
-  std::unordered_map<std::string, std::vector<Digest128>> trace_keys_by_test_;
   Limits limits_;
   Stats stats_;
   // Guards every member above. Held for whole operations (lookup + LRU splice,

@@ -7,7 +7,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/rng.h"
-#include "src/conf/plan_equiv.h"
 #include "src/testkit/run_cache.h"
 
 namespace zebra {
@@ -83,24 +82,14 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
 
   // Memoization: identical (test, plan, trial) triples are reproducible by
   // construction, so a cached result is exactly what a fresh execution would
-  // return. Cache hits record no duration — nothing actually ran. With a
-  // pre-run ReadSurface installed, the lookup extends to observationally
-  // equivalent plans (see run_cache.h for the validation contract).
+  // return. Cache hits record no duration — nothing actually ran.
   RunCache* cache = GlobalRunCache();
-  EquivQuery equiv;
-  EquivQuery* equiv_query = nullptr;
   if (cache != nullptr) {
-    if (const ReadSurface* surface = GlobalReadSurface();
-        surface != nullptr && surface->usable()) {
-      equiv.surface = surface;
-      equiv.plan = &plan;
-      equiv_query = &equiv;
-    }
     // Shared lookup: the payload's ownership is shared out under the cache
     // lock, so the result stays valid past any other worker's insert without
     // a deep copy.
     if (std::shared_ptr<const TestResult> cached =
-            cache->LookupShared(test.id, plan_fp, trial, equiv_query)) {
+            cache->LookupShared(test.id, plan_fp, trial)) {
       return cached;
     }
   }
@@ -109,12 +98,10 @@ std::shared_ptr<const TestResult> RunUnitTestShared(const UnitTestDef& test,
   const bool trial_sensitive =
       Execute(test, plan, trial, SessionMode::kRecord, result.get());
   if (cache != nullptr) {
-    const std::string observed_trace = ObservedTraceText(result->report);
     // The cache shares this exact payload across its key aliases — the
     // insert allocates no TestResult copy.
     cache->Insert(test.id, plan_fp, trial,
-                  /*trial_insensitive=*/!trial_sensitive, result,
-                  equiv_query, &observed_trace);
+                  /*trial_insensitive=*/!trial_sensitive, result);
   }
   return result;
 }

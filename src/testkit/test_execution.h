@@ -56,7 +56,7 @@ struct RunVerdict {
 // Runs `test` with `plan` like RunUnitTestShared and returns only the
 // verdict, which is identical to RunUnitTestShared's passed/failure. With no
 // run cache installed the execution runs a SessionMode::kVerdict session (no
-// reads/uncertain_params/trace_elements recording). With a cache installed it
+// reads/uncertain_params recording). With a cache installed it
 // takes the full path, so every cached payload carries a complete report.
 RunVerdict RunUnitTestVerdict(const UnitTestDef& test, const TestPlan& plan,
                               uint64_t trial);

@@ -17,6 +17,8 @@
 #include <string>
 
 #include "src/common/error.h"
+#include "src/core/report_io.h"
+#include "src/testkit/full_schema.h"
 #include "src/testkit/unit_test_registry.h"
 
 namespace zebra {
@@ -74,6 +76,35 @@ TEST(CampaignJournalTest, AppendThenResumeRoundTrips) {
   EXPECT_EQ(resumed.recovered()[1].first, 1u);
   ExpectUnitsEqual(resumed.recovered()[1].second, second);
   std::remove(path.c_str());
+}
+
+TEST(CampaignJournalTest, RecordWithRetiredEquivalenceKeysResumesToTheSameReport) {
+  // Journals written before the cross-plan equivalence cache was removed
+  // carry three more keys per unit record. The journal magic did not
+  // change, so such a record must still parse and fold to the same report.
+  UnitWorkResult unit = MakeUnit("minikv.TestA", 7);
+  unit.cache_hits = 3;
+  unit.cache_misses = 5;
+  const std::string current = SerializeUnitResult(4, unit);
+  const std::string legacy = current +
+                             "equiv_hits = 2\n"
+                             "canonicalized_plans = 1\n"
+                             "mispredictions = 1\n";
+
+  size_t index = 0;
+  UnitWorkResult parsed;
+  ASSERT_TRUE(ParseUnitResult(legacy, &index, &parsed));
+  EXPECT_EQ(index, 4u);
+  ExpectUnitsEqual(parsed, unit);
+  EXPECT_EQ(SerializeUnitResult(index, parsed), current);
+
+  auto fold = [](const UnitWorkResult& folded) {
+    CampaignFolder folder(FullSchema(), CampaignOptions{});
+    folder.BeginApp("minikv", 10, 10, 1);
+    folder.Fold(folded);
+    return SerializeReport(folder.Finish());
+  };
+  EXPECT_EQ(fold(parsed), fold(unit));
 }
 
 TEST(CampaignJournalTest, ResumeOverMissingOrEmptyFileStartsFresh) {

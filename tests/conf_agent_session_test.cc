@@ -85,7 +85,6 @@ void ExpectSameDecisions(const SessionReport& verdict, const SessionReport& reco
   EXPECT_EQ(verdict.any_conf_usage, record.any_conf_usage) << where;
   EXPECT_TRUE(verdict.reads.empty()) << where;
   EXPECT_TRUE(verdict.uncertain_params.empty()) << where;
-  EXPECT_TRUE(verdict.trace_elements.empty()) << where;
 }
 
 TEST(ConfAgentSessionTest, VerdictPathMatchesRecordingPathOnFullCorpus) {
@@ -198,7 +197,6 @@ TEST(ConfAgentSessionTest, VerdictSessionIgnoresPresenceChecksButServesOverrides
     const SessionReport report = session.End();
     EXPECT_EQ(report.override_hits, 2);
     EXPECT_TRUE(report.any_conf_usage);
-    EXPECT_TRUE(report.trace_elements.empty());
     EXPECT_TRUE(report.reads.empty());
   }
   {
@@ -206,11 +204,14 @@ TEST(ConfAgentSessionTest, VerdictSessionIgnoresPresenceChecksButServesOverrides
     Configuration conf;
     conf.Set("p", "stored");
     EXPECT_TRUE(conf.Has("p"));
+    EXPECT_FALSE(conf.Has("q"));
     EXPECT_EQ(conf.Get("p"), "planned");
     const SessionReport report = session.End();
     EXPECT_EQ(report.override_hits, 1);
+    // Only the Get is a read: presence checks leave the report alone.
     EXPECT_EQ(report.ParamsReadBy(kClientEntity), (std::set<std::string>{"p"}));
-    EXPECT_EQ(report.trace_elements.size(), 2u);  // the Has and the Get
+    EXPECT_EQ(report.AllParamsRead(), (std::set<std::string>{"p"}));
+    EXPECT_TRUE(report.uncertain_params.empty());
   }
 }
 

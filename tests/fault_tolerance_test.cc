@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "src/common/error.h"
 #include "src/core/campaign_executor.h"
@@ -324,6 +325,30 @@ TEST_P(FaultToleranceTest, PoisonedUnitQuarantinedAndCampaignCompletes) {
   // Both apps still ran to completion around the quarantined unit.
   EXPECT_EQ(report.per_app.size(), 2u);
   EXPECT_GT(report.total_unit_test_runs, 0);
+}
+
+TEST_P(FaultToleranceTest, PipelinedHangPoisonsOnlyTheHungUnit) {
+  if (!fabric()) {
+    GTEST_SKIP() << "lease pipelining is a fabric setting";
+  }
+  // At depth 2 each single-thread agent holds two leases, so the unit
+  // dispatched behind the hanging one is revoked with it at every watchdog
+  // retirement. Only the unit that hung may be charged the failed attempt:
+  // the one queued behind it never started, and must still run and fold.
+  CampaignOptions options = WithTightWatchdog(SmallCampaign());
+  options.unit_attempt_limit = 2;
+  ExecutorOptions exec = Exec(3);
+  exec.faults.specs.push_back(Spec(FaultKind::kHang, "minikv.TestPutGet", -1));
+  CampaignReport serial = Run(options, exec);
+  ASSERT_EQ(serial.poisoned_units,
+            std::vector<std::string>{"minikv.TestPutGet"});
+
+  exec.pipeline_depth = 2;
+  CampaignReport pipelined = Run(options, exec);
+  EXPECT_EQ(pipelined.poisoned_units,
+            std::vector<std::string>{"minikv.TestPutGet"});
+  EXPECT_EQ(pipelined.hung_workers, 2);
+  ExpectIdenticalResults(pipelined, serial, "depth 2 against depth 1");
 }
 
 TEST_P(FaultToleranceTest, JournalResumeBitwiseIdentical) {

@@ -1,17 +1,18 @@
 // Tests for the memoized run cache: keying (exact and trial-wildcard),
-// counters, the observational-equivalence layer's serving rules, LRU budget
-// enforcement, persistence, and the end-to-end guarantee that memoization
-// never changes campaign results while actually getting hits.
+// counters, LRU budget enforcement, persistence, and the end-to-end
+// guarantee that memoization never changes campaign results while actually
+// getting hits.
 
 #include "src/testkit/run_cache.h"
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "src/conf/plan_equiv.h"
 #include "src/core/campaign.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/unit_test_registry.h"
@@ -80,7 +81,7 @@ TEST(RunCacheTest, HashedKeysMatchLegacyDigestsOverFullCorpus) {
   // The hot path folds key components into a 128-bit digest without ever
   // building the legacy concatenated string; this proves the fold is
   // byte-for-byte the digest of that string for every unit test in the full
-  // corpus, every plan the schema can produce for it, and all four key
+  // corpus, every plan the schema can produce for it, and both key
   // shapes. FNV chains over concatenation, so equality here means hashed
   // and legacy lookups are interchangeable everywhere.
   size_t checked = 0;
@@ -96,10 +97,6 @@ TEST(RunCacheTest, HashedKeysMatchLegacyDigestsOverFullCorpus) {
       }
       EXPECT_EQ(RunCache::WildcardRunKey(test->id, plan_text),
                 HashFnv128(RunCache::WildcardKey(test->id, plan_text)));
-      EXPECT_EQ(RunCache::CanonicalRunKey(test->id, plan_text),
-                HashFnv128(RunCache::CanonicalKey(test->id, plan_text)));
-      EXPECT_EQ(RunCache::TraceRunKey(test->id, "get:" + param.name),
-                HashFnv128(RunCache::TraceKey(test->id, "get:" + param.name)));
 
       // The persistence gate inverts the same equivalence: re-deriving the
       // digest from the legacy string must reproduce the component fold.
@@ -108,8 +105,8 @@ TEST(RunCacheTest, HashedKeysMatchLegacyDigestsOverFullCorpus) {
           RunCache::ExactKey(test->id, plan_text, 7), &derived));
       EXPECT_EQ(derived, RunCache::ExactRunKey(test->id, plan_text, 7));
       ASSERT_TRUE(RunCache::DeriveComponentDigest(
-          RunCache::TraceKey(test->id, "get:" + param.name), &derived));
-      EXPECT_EQ(derived, RunCache::TraceRunKey(test->id, "get:" + param.name));
+          RunCache::WildcardKey(test->id, plan_text), &derived));
+      EXPECT_EQ(derived, RunCache::WildcardRunKey(test->id, plan_text));
       ++checked;
     }
   }
@@ -190,150 +187,6 @@ TEST(RunCacheTest, CampaignResultsIdenticalWithCacheEnabled) {
             expected.run_durations_seconds.size());
 }
 
-TEST(RunCacheTest, EquivLayerServesAcrossPlansAndSurvivesRoundTrip) {
-  // Pre-run promise: Server#0 reads only a.read.
-  SessionReport prerun;
-  prerun.trace_elements.insert(TraceReadElement("Server", 0, "a.read", nullptr));
-  ReadSurface surface(prerun);
-  ASSERT_TRUE(surface.usable());
-
-  // The baseline execution: empty plan, observed exactly the promise.
-  const TestPlan baseline;
-  const std::string baseline_fp = baseline.Fingerprint();
-  const std::string observed = TraceReadElement("Server", 0, "a.read", nullptr);
-
-  RunCache cache;
-  EquivQuery baseline_query;
-  baseline_query.surface = &surface;
-  baseline_query.plan = &baseline;
-  EXPECT_EQ(cache.Lookup("t", baseline_fp, 0, &baseline_query), nullptr);
-  cache.Insert("t", baseline_fp, 0, /*trial_insensitive=*/true,
-               MakeResult(true, ""), &baseline_query, &observed);
-
-  // A plan flipping a parameter no conf reads is observationally the
-  // baseline: same predicted trace, so the stored run serves it.
-  const TestPlan unread = SingleParamPlan("b.unread", "42");
-  EquivQuery unread_query;
-  unread_query.surface = &surface;
-  unread_query.plan = &unread;
-  const TestResult* hit = cache.Lookup("t", unread.Fingerprint(), 5, &unread_query);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(hit->passed);
-  EXPECT_EQ(cache.stats().equiv_hits, 1);
-  EXPECT_GT(cache.stats().canonicalized_plans, 0);
-  EXPECT_EQ(cache.stats().mispredictions, 0);
-
-  // ...while a plan that overrides the promised read is a different
-  // execution and must miss.
-  const TestPlan divergent = SingleParamPlan("a.read", "7");
-  EquivQuery divergent_query;
-  divergent_query.surface = &surface;
-  divergent_query.plan = &divergent;
-  EXPECT_EQ(cache.Lookup("t", divergent.Fingerprint(), 0, &divergent_query), nullptr);
-
-  // Persistence round-trips the equivalence indexes: after save + load into
-  // a fresh cache, the cross-plan serve still works.
-  const std::string path = ::testing::TempDir() + "/run_cache_roundtrip.zc";
-  ASSERT_TRUE(cache.SaveToFile(path));
-  RunCache reloaded;
-  ASSERT_TRUE(reloaded.LoadFromFile(path));
-  EXPECT_EQ(reloaded.stats().entries, cache.stats().entries);
-  std::remove(path.c_str());
-
-  ASSERT_NE(reloaded.Lookup("t", baseline_fp, 3, nullptr), nullptr);  // wildcard
-  EquivQuery reloaded_query;
-  reloaded_query.surface = &surface;
-  reloaded_query.plan = &unread;
-  ASSERT_NE(reloaded.Lookup("t", unread.Fingerprint(), 5, &reloaded_query), nullptr);
-  EXPECT_EQ(reloaded.stats().equiv_hits, 1);
-}
-
-TEST(RunCacheTest, EquivLayerServesEarlyStoppedRestriction) {
-  // The stored failing run stopped at its first read — its observed trace is
-  // a strict subset of any full prediction, so only restriction matching can
-  // serve it. A plan agreeing on that read reproduces the failure.
-  SessionReport prerun;
-  prerun.trace_elements.insert(TraceReadElement("Server", 0, "a.read", nullptr));
-  prerun.trace_elements.insert(TraceReadElement("Server", 0, "b.read", nullptr));
-  ReadSurface surface(prerun);
-
-  std::string assigned = "7";
-  const TestPlan first = SingleParamPlan("a.read", assigned);
-  const std::string truncated = TraceReadElement("Server", 0, "a.read", &assigned);
-  RunCache cache;
-  EquivQuery first_query;
-  first_query.surface = &surface;
-  first_query.plan = &first;
-  EXPECT_EQ(cache.Lookup("t", first.Fingerprint(), 0, &first_query), nullptr);
-  // Observed != predicted (the run never reached b.read): counted as a
-  // misprediction at insert, indexed by its truthful observed trace anyway.
-  cache.Insert("t", first.Fingerprint(), 0, /*trial_insensitive=*/true,
-               MakeResult(false, "died at a.read"), &first_query, &truncated);
-  EXPECT_EQ(cache.stats().mispredictions, 1);
-
-  // Same a.read assignment pooled with an unread parameter: agrees on every
-  // value the stored run actually observed.
-  TestPlan pooled = SingleParamPlan("a.read", assigned);
-  pooled.Add(SingleParamPlan("c.unread", "1").params()[0]);
-  EquivQuery pooled_query;
-  pooled_query.surface = &surface;
-  pooled_query.plan = &pooled;
-  const TestResult* hit = cache.Lookup("t", pooled.Fingerprint(), 9, &pooled_query);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->failure, "died at a.read");
-  EXPECT_EQ(cache.stats().equiv_hits, 1);
-
-  // A plan serving a different value at that read must not match.
-  const TestPlan different = SingleParamPlan("a.read", "8");
-  EquivQuery different_query;
-  different_query.surface = &surface;
-  different_query.plan = &different;
-  EXPECT_EQ(cache.Lookup("t", different.Fingerprint(), 0, &different_query), nullptr);
-
-  // Restriction matching is the one equivalence path with out-of-band state
-  // (the per-test trace registry); a reloaded cache must rebuild it. The
-  // canonical index was skipped for this entry (misprediction), so this
-  // serve can only come from the rebuilt registry.
-  const std::string path = ::testing::TempDir() + "/run_cache_restriction.zc";
-  ASSERT_TRUE(cache.SaveToFile(path));
-  RunCache reloaded;
-  ASSERT_TRUE(reloaded.LoadFromFile(path));
-  std::remove(path.c_str());
-  EquivQuery reloaded_query;
-  reloaded_query.surface = &surface;
-  reloaded_query.plan = &pooled;
-  const TestResult* reloaded_hit =
-      reloaded.Lookup("t", pooled.Fingerprint(), 9, &reloaded_query);
-  ASSERT_NE(reloaded_hit, nullptr);
-  EXPECT_EQ(reloaded_hit->failure, "died at a.read");
-}
-
-TEST(RunCacheTest, TrialSensitiveRunsAreNeverSharedAcrossPlans) {
-  // A run that consumed the per-trial RNG is only valid for its exact
-  // (plan, trial): the equivalence layer must never index it.
-  SessionReport prerun;
-  prerun.trace_elements.insert(TraceReadElement("Server", 0, "a.read", nullptr));
-  ReadSurface surface(prerun);
-
-  const TestPlan baseline;
-  const std::string observed = TraceReadElement("Server", 0, "a.read", nullptr);
-  RunCache cache;
-  EquivQuery query;
-  query.surface = &surface;
-  query.plan = &baseline;
-  EXPECT_EQ(cache.Lookup("t", baseline.Fingerprint(), 0, &query), nullptr);
-  cache.Insert("t", baseline.Fingerprint(), 0, /*trial_insensitive=*/false,
-               MakeResult(true, ""), &query, &observed);
-
-  const TestPlan unread = SingleParamPlan("b.unread", "42");
-  EquivQuery unread_query;
-  unread_query.surface = &surface;
-  unread_query.plan = &unread;
-  EXPECT_EQ(cache.Lookup("t", unread.Fingerprint(), 0, &unread_query), nullptr);
-  EXPECT_EQ(cache.Lookup("t", baseline.Fingerprint(), 1, nullptr), nullptr);
-  EXPECT_EQ(cache.stats().equiv_hits, 0);
-}
-
 TEST(RunCacheTest, LruBudgetEvictsOldestAndCounts) {
   RunCache cache(RunCache::Limits{/*max_entries=*/2, /*max_bytes=*/0});
   cache.Insert("t", "p1", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
@@ -358,7 +211,6 @@ TEST(RunCacheTest, CacheBudgetNeverChangesFindings) {
   // findings and stage counts must not move.
   CampaignOptions tight_options = plain_options;
   tight_options.enable_run_cache = true;
-  tight_options.enable_equiv_cache = true;
   tight_options.cache_max_entries = 8;
   Campaign tight(FullSchema(), FullCorpus(), tight_options);
   CampaignReport report = tight.Run();
@@ -375,6 +227,103 @@ TEST(RunCacheTest, CacheBudgetNeverChangesFindings) {
   for (const auto& [app, counts] : expected.per_app) {
     EXPECT_EQ(report.per_app.at(app).executed_runs, counts.executed_runs) << app;
   }
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+TEST(RunCacheTest, SaveLoadRoundTripPreservesEveryReportField) {
+  TestResult failing = MakeResult(false, "line one\nline two \\ tail");
+  SessionReport& report = failing.report;
+  report.node_counts = {{"DataNode", 3}, {"NameNode", 1}};
+  report.reads["DataNode"] = {"dfs.a", "dfs.b"};
+  report.reads[kClientEntity] = {"dfs.c"};
+  report.uncertain_params = {"ipc.x"};
+  report.conf_objects_created = 7;
+  report.clones = 4;
+  report.ref_to_clones = 2;
+  report.uncertain_conf_count = 1;
+  report.override_hits = 11;
+  report.conf_sharing_detected = true;
+  report.any_conf_usage = true;
+
+  RunCache cache;
+  cache.Insert("t", "plan-a", 0, /*trial_insensitive=*/true, failing);
+  cache.Insert("t", "plan-b", 3, /*trial_insensitive=*/false, MakeResult(true, ""));
+  const std::string path = ::testing::TempDir() + "/run_cache_v3.zc";
+  ASSERT_TRUE(cache.SaveToFile(path));
+  const std::string text = ReadWholeFile(path);
+  EXPECT_EQ(text.rfind("zebra-run-cache-v3\n", 0), 0u);
+  EXPECT_EQ(text.find("\nT "), std::string::npos);
+
+  RunCache reloaded;
+  ASSERT_TRUE(reloaded.LoadFromFile(path));
+  std::remove(path.c_str());
+  EXPECT_EQ(reloaded.stats().entries, cache.stats().entries);
+  EXPECT_EQ(reloaded.stats().bytes, cache.stats().bytes);
+  EXPECT_EQ(reloaded.stats().load_failures, 0);
+
+  // The trial-insensitive entry still serves every trial through its
+  // wildcard alias; the trial-sensitive one only its own.
+  const TestResult* hit = reloaded.Lookup("t", "plan-a", 9);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_FALSE(hit->passed);
+  EXPECT_EQ(hit->failure, failing.failure);
+  const SessionReport& got = hit->report;
+  EXPECT_EQ(got.node_counts, report.node_counts);
+  EXPECT_EQ(got.reads, report.reads);
+  EXPECT_EQ(got.uncertain_params, report.uncertain_params);
+  EXPECT_EQ(got.conf_objects_created, report.conf_objects_created);
+  EXPECT_EQ(got.clones, report.clones);
+  EXPECT_EQ(got.ref_to_clones, report.ref_to_clones);
+  EXPECT_EQ(got.uncertain_conf_count, report.uncertain_conf_count);
+  EXPECT_EQ(got.override_hits, report.override_hits);
+  EXPECT_EQ(got.conf_sharing_detected, report.conf_sharing_detected);
+  EXPECT_EQ(got.any_conf_usage, report.any_conf_usage);
+  EXPECT_EQ(SerializeSessionReport(got), SerializeSessionReport(report));
+
+  const TestResult* exact = reloaded.Lookup("t", "plan-b", 3);
+  ASSERT_NE(exact, nullptr);
+  EXPECT_TRUE(exact->passed);
+  EXPECT_EQ(reloaded.Lookup("t", "plan-b", 4), nullptr);
+}
+
+TEST(RunCacheTest, LoadRejectsWellFormedV2File) {
+  // A v2 file as the previous format wrote it: every entry carries a "T"
+  // (observed read trace) line and its report a "trace" tag, under a valid
+  // whole-file checksum. Intact as it is, it must still be refused whole.
+  const std::string path = ::testing::TempDir() + "/run_cache_v2.zc";
+  {
+    const std::vector<std::string> lines = {
+        "zebra-run-cache-v2",
+        "1",
+        "K " + RunCache::WildcardKey("t", "plan-a"),
+        "P 1",
+        "F ",
+        "T Server#0:a.read!",
+        "R trace Server#0:a.read!\\ncounters 1 0 0 0 0\\nflags 0 1\\n",
+    };
+    uint64_t digest = kFnv64Seed;
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : lines) {
+      digest = HashFnv64(line, digest);
+      out << line << '\n';
+    }
+    out << "C " << HashToHex(digest) << '\n';
+  }
+  RunCache cache;
+  cache.Insert("t", "p", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
+  EXPECT_FALSE(cache.LoadFromFile(path));
+  std::remove(path.c_str());
+  EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_EQ(cache.stats().bytes, 0);
+  EXPECT_EQ(cache.Lookup("t", "p", 0), nullptr);
+  EXPECT_EQ(cache.Lookup("t", "plan-a", 0), nullptr);
+  EXPECT_EQ(cache.stats().load_failures, 1);
 }
 
 TEST(RunCacheTest, SaveLoadRejectsCorruptFile) {

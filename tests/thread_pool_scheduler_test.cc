@@ -105,32 +105,31 @@ TEST(ThreadPoolSchedulerTest, SharedRunCacheDoesNotChangeResultsAndRecordsHits) 
   EXPECT_GT(cached.cache_misses, 0);
 }
 
-TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalAtEveryThreadCount) {
-  // The strongest cache contract: equivalence-layer serves across different
-  // plans, shared across workers, and the no-cache sequential reference must
-  // still match bitwise at every thread count.
+TEST(ThreadPoolSchedulerTest, SharedRunCacheBitwiseIdenticalAtEveryThreadCount) {
+  // The shared cache serves one worker's executions to every other; the
+  // no-cache sequential reference must still match bitwise at every thread
+  // count.
   CampaignOptions options;  // all apps
   Campaign sequential(FullSchema(), FullCorpus(), options);
   CampaignReport expected = sequential.Run();
   ASSERT_GT(expected.findings.size(), 0u);
 
-  CampaignOptions equiv_options = options;
-  equiv_options.enable_run_cache = true;
-  equiv_options.enable_equiv_cache = true;
+  CampaignOptions cached_options = options;
+  cached_options.enable_run_cache = true;
 
   for (int workers : {1, 2, 4, 6}) {
     CampaignReport pooled = RunThreadPoolCampaign(FullSchema(), FullCorpus(),
-                                                  equiv_options, workers);
+                                                  cached_options, workers);
     ExpectIdenticalResults(pooled, expected,
-                           "equiv workers=" + std::to_string(workers));
+                           "cached workers=" + std::to_string(workers));
   }
 }
 
-TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalUnprunedRegime) {
-  // The regime where the layer actually collapses whole equivalence classes
-  // (generation without pre-run read pruning): most plans differ only in
-  // override entries no targeted conf reads, and the cache must dedup them
-  // without moving a single finding.
+TEST(ThreadPoolSchedulerTest, UnprunedRegimeBitwiseIdentical) {
+  // Generation without pre-run read pruning (the paper's Table 5 ablation):
+  // every started node group is targeted for every parameter, so units
+  // carry far more instances and the shared run cache far more entries.
+  // Findings must not move.
   CampaignOptions options;
   options.apps = {"minikv", "ministream", "apptools"};
   options.prune_unread_instances = false;
@@ -138,20 +137,19 @@ TEST(ThreadPoolSchedulerTest, EquivCacheBitwiseIdenticalUnprunedRegime) {
   CampaignReport expected = sequential.Run();
   ASSERT_GT(expected.findings.size(), 0u);
 
-  CampaignOptions equiv_options = options;
-  equiv_options.enable_run_cache = true;
-  equiv_options.enable_equiv_cache = true;
+  CampaignOptions cached_options = options;
+  cached_options.enable_run_cache = true;
 
-  Campaign seq_equiv(FullSchema(), FullCorpus(), equiv_options);
-  CampaignReport sequential_equiv = seq_equiv.Run();
-  ExpectIdenticalResults(sequential_equiv, expected, "sequential equiv unpruned");
-  EXPECT_GT(sequential_equiv.equiv_hits, 0);
+  Campaign seq_cached(FullSchema(), FullCorpus(), cached_options);
+  CampaignReport sequential_cached = seq_cached.Run();
+  ExpectIdenticalResults(sequential_cached, expected, "sequential cached unpruned");
+  EXPECT_GT(sequential_cached.cache_hits, 0);
 
   for (int workers : {2, 4}) {
     CampaignReport pooled = RunThreadPoolCampaign(FullSchema(), FullCorpus(),
-                                                  equiv_options, workers);
+                                                  cached_options, workers);
     ExpectIdenticalResults(pooled, expected,
-                           "equiv unpruned workers=" + std::to_string(workers));
+                           "cached unpruned workers=" + std::to_string(workers));
   }
 }
 
@@ -407,7 +405,7 @@ TEST(ConcurrentRunCacheTest, HammerWithLruEvictionStaysConsistent) {
             "failure-" + std::to_string(owner) + "-" + std::to_string(key);
 
         TestResult out;
-        if (cache.Lookup(test_id, plan, /*trial=*/0, nullptr, &out)) {
+        if (cache.Lookup(test_id, plan, /*trial=*/0, &out)) {
           if (out.failure != expected_failure || out.passed) {
             ++torn_results;
           }
@@ -446,7 +444,7 @@ TEST(ConcurrentRunCacheTest, HammerWithLruEvictionStaysConsistent) {
   final_result.passed = true;
   cache.Insert("hammer.final", "p", 0, /*trial_insensitive=*/true, final_result);
   TestResult out;
-  ASSERT_TRUE(cache.Lookup("hammer.final", "p", 7, nullptr, &out));
+  ASSERT_TRUE(cache.Lookup("hammer.final", "p", 7, &out));
   EXPECT_TRUE(out.passed);
   EXPECT_GT(cache.stats().hits, stats.hits);
 }
@@ -473,7 +471,7 @@ TEST(ConcurrentRunCacheTest, SharedStatsSnapshotIsConsistent) {
     result.passed = true;
     cache.Insert("t", "p" + std::to_string(i), 0, true, result);
     TestResult out;
-    cache.Lookup("t", "p" + std::to_string(i / 2), 0, nullptr, &out);
+    cache.Lookup("t", "p" + std::to_string(i / 2), 0, &out);
   }
   stop.store(true, std::memory_order_release);
   reader.join();
