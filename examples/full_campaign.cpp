@@ -332,14 +332,18 @@ int main(int argc, char** argv) {
     // Campaign itself, to load its cache before the run and save it after.
     Campaign campaign(FullSchema(), FullCorpus(), options);
     if (!cache_file.empty() && campaign.run_cache() != nullptr) {
-      if (campaign.run_cache()->LoadFromFile(cache_file)) {
+      const RunCache::LoadResult loaded =
+          campaign.run_cache()->LoadFromFile(cache_file);
+      if (loaded) {
         std::printf("run cache warm-started from %s (%lld entries)\n",
                     cache_file.c_str(),
                     static_cast<long long>(campaign.run_cache()->stats().entries));
-      } else if (campaign.run_cache()->stats().load_failures > 0) {
+      } else if (loaded.status != RunCache::LoadStatus::kMissing) {
+        // Fail-closed either way; the reason tells an old-format file (the
+        // expected cold start after a format bump) from a damaged one.
         std::fprintf(stderr,
-                     "warning: run cache %s was corrupt; starting cold\n",
-                     cache_file.c_str());
+                     "warning: run cache %s not loaded (%s); starting cold\n",
+                     cache_file.c_str(), loaded.reason());
       }
     }
     report = campaign.Run();
@@ -405,9 +409,17 @@ int main(int argc, char** argv) {
               true_positives, false_positives, false_negatives);
   std::printf("hypothesis testing: %d first-trial candidates, %d filtered\n",
               report.first_trial_candidates, report.filtered_by_hypothesis);
-  std::printf("total unit-test executions: %lld in %.2f s\n",
+  // The scheduling line: executions and wall clock, plus the speculative
+  // engines' thrown-away work when there was any.
+  std::printf("total unit-test executions: %lld in %.2f s",
               static_cast<long long>(report.total_unit_test_runs),
               report.wall_seconds);
+  if (report.stale_reruns > 0 || report.cancelled_units > 0) {
+    std::printf(" (speculation: %lld stale re-runs, %lld cancelled units)",
+                static_cast<long long>(report.stale_reruns),
+                static_cast<long long>(report.cancelled_units));
+  }
+  std::printf("\n");
   if (report.cache_hits > 0) {
     std::printf("run cache: %lld hits, %lld evictions\n",
                 static_cast<long long>(report.cache_hits),

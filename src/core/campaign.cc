@@ -145,6 +145,17 @@ void CampaignFolder::Fold(const UnitWorkResult& unit) {
                                        unit.run_durations.end());
 }
 
+bool CampaignFolder::WouldMarkUnsafe(const std::string& param,
+                                     int more_tests) const {
+  if (globally_unsafe_.count(param) > 0) {
+    return false;
+  }
+  auto confirmed = confirmed_tests_per_param_.find(param);
+  const size_t have =
+      confirmed == confirmed_tests_per_param_.end() ? 0 : confirmed->second.size();
+  return static_cast<int64_t>(have) + more_tests >= frequent_failure_threshold_;
+}
+
 CampaignReport CampaignFolder::Finish() {
   report_.total_unit_test_runs = report_.TotalExecuted();
   return std::move(report_);
@@ -329,9 +340,10 @@ std::vector<const Campaign::ParamInstances*> Campaign::ParamOrder(
   return order;
 }
 
-void Campaign::RunPooledForTest(const UnitTestDef& test,
+bool Campaign::RunPooledForTest(const UnitTestDef& test,
                                 const InstancesByParam& by_param,
                                 const std::set<std::string>& globally_unsafe,
+                                const AbandonCheck* abandon,
                                 UnitWorkResult* unit) const {
   std::set<std::string> confirmed_in_test;
   std::vector<const ParamInstances*> order = ParamOrder(by_param);
@@ -348,6 +360,9 @@ void Campaign::RunPooledForTest(const UnitTestDef& test,
   std::vector<const GeneratedInstance*> pool;
   pool.reserve(order.size());
   for (size_t round = 0; round < max_rounds; ++round) {
+    if (abandon != nullptr && (*abandon)(unit->params_tested)) {
+      return false;
+    }
     // Pool the round-th instance of every parameter that still has one and
     // is not already settled. Pool order follows the static prior, so
     // bisection descends into the wire-tainted half first.
@@ -369,10 +384,12 @@ void Campaign::RunPooledForTest(const UnitTestDef& test,
     }
     BisectPool(test, pool, unit, &confirmed_in_test);
   }
+  return true;
 }
 
-UnitWorkResult Campaign::RunUnitDynamic(
-    const PreRunRecord& record, const std::set<std::string>& globally_unsafe) const {
+std::optional<UnitWorkResult> Campaign::RunUnitDynamic(
+    const PreRunRecord& record, const std::set<std::string>& globally_unsafe,
+    const AbandonCheck* abandon) const {
   UnitWorkResult unit;
   unit.app = record.test->app;
   unit.test_id = record.test->id;
@@ -449,7 +466,10 @@ UnitWorkResult Campaign::RunUnitDynamic(
   }
 
   if (options_.enable_pooling) {
-    RunPooledForTest(*record.test, by_param, globally_unsafe, &unit);
+    if (!RunPooledForTest(*record.test, by_param, globally_unsafe, abandon,
+                          &unit)) {
+      return std::nullopt;
+    }
   } else {
     // Ablation: verify every instance individually (stop per parameter once
     // confirmed in this test).
@@ -474,6 +494,12 @@ UnitWorkResult Campaign::RunUnitDynamic(
 
 UnitWorkResult Campaign::RunUnit(const UnitTestDef& test,
                                  const std::set<std::string>& globally_unsafe) {
+  return *TryRunUnit(test, globally_unsafe, nullptr);
+}
+
+std::optional<UnitWorkResult> Campaign::TryRunUnit(
+    const UnitTestDef& test, const std::set<std::string>& globally_unsafe,
+    const AbandonCheck& abandon) {
   RunCache* cache = active_cache();
   ScopedRunCache scoped_cache(cache);
   // Per-unit stat deltas only make sense when this engine is the cache's
@@ -487,20 +513,23 @@ UnitWorkResult Campaign::RunUnit(const UnitTestDef& test,
   }
 
   std::vector<double> durations;
-  UnitWorkResult unit;
+  std::optional<UnitWorkResult> unit;
   {
     ScopedDurationCollector scoped_collector(&durations);
     int64_t prerun_executions = 0;
     PreRunRecord record = generator_.PreRunTest(test, &prerun_executions);
-    unit = RunUnitDynamic(record, globally_unsafe);
-    unit.prerun_executions = prerun_executions;
+    unit = RunUnitDynamic(record, globally_unsafe, abandon ? &abandon : nullptr);
+    if (!unit) {
+      return std::nullopt;
+    }
+    unit->prerun_executions = prerun_executions;
   }
-  unit.run_durations = std::move(durations);
+  unit->run_durations = std::move(durations);
   if (track_unit_stats) {
     RunCache::Stats stats = cache->stats();
-    unit.cache_hits = stats.hits - stats_before.hits;
-    unit.cache_misses = stats.misses - stats_before.misses;
-    unit.cache_evictions = stats.evictions - stats_before.evictions;
+    unit->cache_hits = stats.hits - stats_before.hits;
+    unit->cache_misses = stats.misses - stats_before.misses;
+    unit->cache_evictions = stats.evictions - stats_before.evictions;
   }
   return unit;
 }
@@ -533,7 +562,8 @@ CampaignReport Campaign::Run() {
                   << " early";
         break;
       }
-      UnitWorkResult unit = RunUnitDynamic(record, folder.globally_unsafe());
+      UnitWorkResult unit =
+          *RunUnitDynamic(record, folder.globally_unsafe(), nullptr);
       unit.prerun_executions = 1;  // the PreRunApp baseline for this record
       folder.Fold(unit);
     }

@@ -25,8 +25,10 @@
 
 #include <csignal>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -234,6 +236,13 @@ struct CampaignReport {
                                    // (stale lease: unit already reassigned
                                    // or already folded)
 
+  // Speculation waste (0 outside the speculative engines). Scheduling
+  // dependent, so accounting only, and deliberately not serialized.
+  int64_t stale_reruns = 0;     // buffered results discarded as stale and
+                                // run again (never counted as failures)
+  int64_t cancelled_units = 0;  // thread-pool units abandoned mid-run once
+                                // the fold doomed them, and re-queued
+
   // Units that exceeded CampaignOptions.unit_attempt_limit and were skipped
   // (their canonical slot folds an empty result). Non-empty means findings
   // are incomplete — a side note for triage, never silently dropped.
@@ -289,9 +298,10 @@ struct UnitWorkResult {
   int first_trial_candidates = 0;
   int filtered_by_hypothesis = 0;
 
-  // Parameters this unit pooled/verified (post only/exclude filtering). The
-  // scheduler uses this to decide whether a stale globally-unsafe snapshot
-  // could have influenced the unit (and must therefore be re-run).
+  // Parameters this unit pooled/verified (post only/exclude filtering), in
+  // name order. The unit reads the globally-unsafe set only for these, so
+  // the scheduler compares a snapshot with the exact set on them alone
+  // (canonical_fold.h).
   std::vector<std::string> params_tested;
 
   // In confirmation order (the order VerifyInstance confirmed them).
@@ -334,6 +344,12 @@ class CampaignFolder {
   // campaign would know when starting the next canonical unit.
   const std::set<std::string>& globally_unsafe() const { return globally_unsafe_; }
 
+  // Whether `more_tests` further distinct unit tests confirming `param`
+  // would make the frequent-failure rule mark it globally unsafe (false when
+  // it already is). The speculative engines predict later units' sets with
+  // it; the rule itself stays here.
+  bool WouldMarkUnsafe(const std::string& param, int more_tests) const;
+
   // The in-progress report (e.g. to install a run-duration collector).
   CampaignReport& report() { return report_; }
 
@@ -357,13 +373,25 @@ class Campaign {
   CampaignReport Run();
 
   // Executes one (app, unit test) work unit: pre-run, instance generation,
-  // pooled testing / bisection / verification. `globally_unsafe` must be the
-  // frequent-failure set a sequential campaign would know when reaching this
-  // unit (a stale subset yields a result the scheduler detects and re-runs).
-  // Installs this campaign's run cache and a unit-local duration collector
-  // for the duration of the call. Used by thread-pool and fabric workers.
+  // pooled testing / bisection / verification. `globally_unsafe` should be
+  // the frequent-failure set a sequential campaign would know when reaching
+  // this unit (a result from any other set is one the scheduler detects and
+  // re-runs). Installs this campaign's run cache and a unit-local duration
+  // collector for the duration of the call. Used by thread-pool and fabric
+  // workers.
   UnitWorkResult RunUnit(const UnitTestDef& test,
                          const std::set<std::string>& globally_unsafe);
+
+  // Polled before every pooled round with the unit's params_tested; true
+  // abandons the unit.
+  using AbandonCheck =
+      std::function<bool(const std::vector<std::string>& params_tested)>;
+
+  // RunUnit that gives up between pooled rounds once `abandon` says so:
+  // nullopt then, and no partial result escapes.
+  std::optional<UnitWorkResult> TryRunUnit(
+      const UnitTestDef& test, const std::set<std::string>& globally_unsafe,
+      const AbandonCheck& abandon);
 
   // Options with `apps` resolved (empty -> every corpus app, sorted).
   const CampaignOptions& options() const { return options_; }
@@ -402,13 +430,16 @@ class Campaign {
   // Per-test dynamic phase over one pre-run record. Fills everything in the
   // result except prerun_executions, run_durations, and cache counters
   // (owned by the callers, who know what else ran).
-  UnitWorkResult RunUnitDynamic(const PreRunRecord& record,
-                                const std::set<std::string>& globally_unsafe) const;
+  // Returns nullopt when `abandon` (may be null) gave up on the unit.
+  std::optional<UnitWorkResult> RunUnitDynamic(
+      const PreRunRecord& record, const std::set<std::string>& globally_unsafe,
+      const AbandonCheck* abandon) const;
 
   // Per-test pooled phase over this test's instances, grouped by parameter.
-  void RunPooledForTest(const UnitTestDef& test, const InstancesByParam& by_param,
+  // Returns false when `abandon` (may be null) gave up between rounds.
+  bool RunPooledForTest(const UnitTestDef& test, const InstancesByParam& by_param,
                         const std::set<std::string>& globally_unsafe,
-                        UnitWorkResult* unit) const;
+                        const AbandonCheck* abandon, UnitWorkResult* unit) const;
 
   // Recursive bisection of a failing pool (one instance per parameter).
   void BisectPool(const UnitTestDef& test, InstancePool pool, UnitWorkResult* unit,

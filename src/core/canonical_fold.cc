@@ -115,20 +115,147 @@ std::optional<size_t> CanonicalFold::TakeDispatchable(
 
 void CanonicalFold::Buffer(size_t unit, UnitWorkResult result,
                            UnsafeSnapshot snapshot) {
-  buffered_[unit] = Buffered{std::move(result), std::move(snapshot)};
+  TouchLadder(result);
+  Buffered& slot = buffered_[unit];
+  TouchLadder(slot.unit);  // a replaced result leaves the prediction too
+  slot = Buffered{std::move(result), std::move(snapshot)};
 }
 
-bool CanonicalFold::IsStale(const Buffered& result) const {
-  const std::set<std::string>& unsafe = folder_.globally_unsafe();
-  if (result.snapshot->size() == unsafe.size()) {
-    return false;
-  }
-  for (const std::string& param : result.unit.params_tested) {
-    if (unsafe.count(param) > 0 && result.snapshot->count(param) == 0) {
+bool CanonicalFold::MissesUnsafe(const std::vector<std::string>& params_tested,
+                                 const std::set<std::string>& snapshot,
+                                 const std::set<std::string>& unsafe) {
+  for (const std::string& param : params_tested) {
+    if (unsafe.count(param) > 0 && snapshot.count(param) == 0) {
       return true;
     }
   }
   return false;
+}
+
+bool CanonicalFold::IsStale(size_t unit, Buffered& result) {
+  const std::set<std::string>& unsafe = folder_.globally_unsafe();
+  const std::set<std::string>& snapshot = *result.snapshot;
+  if (unit == cursor_) {
+    // At its fold turn the fold's set is exactly U(i): the result is the
+    // sequential one iff the snapshot agrees with it on every tested
+    // parameter.
+    for (const std::string& param : result.unit.params_tested) {
+      if ((unsafe.count(param) > 0) != (snapshot.count(param) > 0)) {
+        return true;
+      }
+    }
+    return false;
+  }
+  // Ahead of the cursor only the monotone side is decided.
+  if (result.fresh_at_size == unsafe.size()) {
+    return false;
+  }
+  if (MissesUnsafe(result.unit.params_tested, snapshot, unsafe)) {
+    return true;
+  }
+  result.fresh_at_size = unsafe.size();
+  return false;
+}
+
+void CanonicalFold::TouchLadder(const UnitWorkResult& result) {
+  if (!result.confirmations.empty()) {
+    ladder_dirty_ = true;
+  }
+}
+
+const UnsafeSnapshot& CanonicalFold::RungFor(const std::vector<Rung>& ladder,
+                                             size_t unit) {
+  auto above = std::upper_bound(
+      ladder.begin(), ladder.end(), unit,
+      [](size_t index, const Rung& rung) { return index < rung.first_unit; });
+  return above == ladder.begin() ? ladder.front().unsafe
+                                 : std::prev(above)->unsafe;
+}
+
+bool CanonicalFold::UpdateLadder() {
+  const std::set<std::string>& unsafe = folder_.globally_unsafe();
+  if (!ladder_dirty_ && !ladder_.empty()) {
+    if (unsafe.size() == ladder_unsafe_size_) {
+      return false;
+    }
+    // The set grew at the cursor. When the ladder predicted exactly that
+    // growth, the rung covering the cursor already holds the new set.
+    if (*current_unsafe() == unsafe) {
+      ladder_unsafe_size_ = unsafe.size();
+      return false;
+    }
+  }
+  ladder_dirty_ = false;
+  ladder_unsafe_size_ = unsafe.size();
+
+  // A rung whose set equals the old ladder's set at the same index keeps the
+  // old snapshot, so an unchanged ladder compares equal pointer for pointer.
+  auto snapshot_for = [this](size_t first_unit,
+                             const std::set<std::string>& set) {
+    if (!ladder_.empty()) {
+      const UnsafeSnapshot& old = RungFor(ladder_, first_unit);
+      if (*old == set) {
+        return old;
+      }
+    }
+    return UnsafeSnapshot(std::make_shared<const std::set<std::string>>(set));
+  };
+  next_ladder_.clear();
+  next_ladder_.push_back(Rung{cursor_, snapshot_for(cursor_, unsafe)});
+
+  // Replay the buffered confirmations ahead of the cursor in canonical
+  // order, counting the extra distinct tests each parameter would gain.
+  predicted_confirmations_.clear();
+  std::set<std::string> predicted;
+  bool predicting = false;  // `predicted` holds a copy of the set
+  for (auto it = buffered_.lower_bound(cursor_); it != buffered_.end(); ++it) {
+    bool grew = false;
+    for (const UnitConfirmation& confirmation : it->second.unit.confirmations) {
+      auto counted = std::find_if(
+          predicted_confirmations_.begin(), predicted_confirmations_.end(),
+          [&](const auto& entry) { return *entry.first == confirmation.param; });
+      if (counted == predicted_confirmations_.end()) {
+        predicted_confirmations_.emplace_back(&confirmation.param, 0);
+        counted = std::prev(predicted_confirmations_.end());
+      }
+      ++counted->second;
+      if (!folder_.WouldMarkUnsafe(confirmation.param, counted->second)) {
+        continue;
+      }
+      if (!predicting) {
+        predicted = unsafe;  // copied only once something is predicted
+        predicting = true;
+      }
+      grew = predicted.insert(confirmation.param).second || grew;
+    }
+    if (grew) {
+      next_ladder_.push_back(
+          Rung{it->first + 1, snapshot_for(it->first + 1, predicted)});
+    }
+  }
+
+  // Compare the two step functions over units at or after the cursor. Both
+  // grow strictly from rung to rung, so equal functions have equal
+  // breakpoints and (by the reuse above) equal snapshot pointers.
+  auto from_cursor = [this](const std::vector<Rung>& ladder) {
+    auto above = std::upper_bound(
+        ladder.begin(), ladder.end(), cursor_,
+        [](size_t index, const Rung& rung) { return index < rung.first_unit; });
+    return above == ladder.begin() ? above : std::prev(above);
+  };
+  auto old_rung = from_cursor(ladder_);
+  auto new_rung = next_ladder_.cbegin();
+  bool same = ladder_.end() - old_rung == next_ladder_.end() - new_rung;
+  for (bool first = true; same && new_rung != next_ladder_.cend();
+       ++old_rung, ++new_rung, first = false) {
+    same = old_rung->unsafe == new_rung->unsafe &&
+           (first || old_rung->first_unit == new_rung->first_unit);
+  }
+  if (same) {
+    return false;
+  }
+  ladder_.swap(next_ladder_);
+  return true;
 }
 
 void CanonicalFold::BeginAppsThrough(size_t app_index_exclusive) {
@@ -166,13 +293,15 @@ void CanonicalFold::Advance(const Rerun& rerun) {
     if (it == buffered_.end()) {
       return;
     }
-    if (IsStale(it->second)) {
+    if (IsStale(cursor_, it->second)) {
       if (!rerun) {
         return;
       }
       ZLOG_INFO << engine_name_ << ": re-running unit "
                 << it->second.unit.test_id
                 << " locally (stale globally-unsafe snapshot)";
+      ++stale_reruns_;
+      TouchLadder(it->second.unit);
       it->second.unit = rerun(cursor_);
     }
     FoldAtCursor(it->second.unit);
@@ -188,16 +317,18 @@ void CanonicalFold::Advance(const Rerun& rerun) {
 std::vector<size_t> CanonicalFold::TakeStale() {
   std::vector<size_t> stale;
   for (auto it = buffered_.begin(); it != buffered_.end();) {
-    if (IsStale(it->second)) {
+    if (IsStale(it->first, it->second)) {
       ZLOG_INFO << engine_name_ << ": re-running unit "
                 << it->second.unit.test_id
                 << " (stale globally-unsafe snapshot)";
       stale.push_back(it->first);
+      TouchLadder(it->second.unit);
       it = buffered_.erase(it);
     } else {
       ++it;
     }
   }
+  stale_reruns_ += static_cast<int64_t>(stale.size());
   return stale;
 }
 
@@ -210,6 +341,7 @@ CampaignReport CanonicalFold::Finish() {
   CampaignReport& report = folder_.report();
   report.requeued_units = requeued_units_;
   report.resumed_units = resumed_units_;
+  report.stale_reruns = stale_reruns_;
   if (journal_) {
     // Under a batched sync policy a clean exit must not leave an unsynced
     // tail — flush before reading the failure counter so a sync error here

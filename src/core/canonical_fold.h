@@ -24,31 +24,42 @@
 //   * the staleness predicate below.
 //
 // Staleness, and why speculation is exact. Let U(k) be the globally-unsafe
-// set after folding the first k units. The fold only ever adds to it, so
-// U(j) ⊆ U(k) for j ≤ k. A unit is dispatched under U(j) for the j units
-// folded at that moment, and a unit at canonical index i is folded only
-// after all i predecessors, so its snapshot is always a subset of the exact
-// set U(i) a sequential campaign would hand it. The speculative result is
-// wrong only if the unit tested a parameter in U(i) \ snapshot: the exact
-// run would have excluded it. A buffered result is therefore *stale* when
-// some parameter it tested is globally unsafe now but absent from its
-// snapshot. Staleness is monotone — the set only grows and a snapshot is
-// frozen — so a result stale now is provably stale at its own fold turn,
-// and one that is fresh at its fold turn folds bitwise-identically to the
-// sequential run. Because snapshots are fold prefixes of one growing set,
-// a snapshot as large as the current set *is* the current set, and nothing
-// checked against it can be stale (the equal-size fast path).
+// set after folding the first k units; the fold only ever adds to it, so
+// U(j) ⊆ U(k) for j ≤ k. A unit reads the set only to drop parameters from
+// the ones it tests — pooling, the unpooled ablation and the coupling add-on
+// all consult it for members of its params_tested P and nothing else — so a
+// result computed under *any* snapshot S is exactly the sequential result
+// iff S ∩ P == U(i) ∩ P, where i is the unit's canonical index. A result
+// that fails this is *stale* and never folds. The check has two sides:
+//
+//   * (U(i) \ S) ∩ P ≠ ∅ — the unit tested a parameter the exact run would
+//     have skipped. Since U(cursor) ⊆ U(i) and a snapshot is frozen, a
+//     result with (U(cursor) \ S) ∩ P ≠ ∅ is provably stale at its own fold
+//     turn, so this side may fire for any buffered result, early (TakeStale,
+//     and a worker cancelling a doomed unit in flight use only this side).
+//   * (S \ U(i)) ∩ P ≠ ∅ — the unit skipped a parameter the exact run would
+//     have tested. This happens only when S was a prediction that overshot;
+//     it is decided at the unit's fold turn, when the fold's set is U(i).
+//
+// Snapshots are not fold prefixes: the thread pool dispatches under a
+// predicted ladder (UpdateLadder) — U(cursor) plus what folding the
+// confirmations already buffered ahead of the cursor would add — so a
+// snapshot can be larger than the current set, and no size comparison can
+// stand in for the check. The fabric still sends fold prefixes (S ⊆ U(i)),
+// for which the second side never fires.
 //
 // The remedy for a stale result is the engine's choice. The thread pool
 // discards every stale buffered result at once (TakeStale) and re-queues
 // the wave, so idle workers re-run the units in parallel. The fabric keeps
 // stale results buffered until the cursor reaches them and re-runs them
 // locally (Advance's `rerun` hook): at the cursor the folder's set is exactly
-// U(i), so that re-run is final.
+// U(i), so that re-run is final. Both count the discarded results in
+// CampaignReport::stale_reruns.
 //
 // Threading. Every member is for the coordinator thread, except units(),
 // attempt() and TakeDispatchable(), which worker threads may call while
-// holding the lock that guards the engine's dispatch queue. RecordFailure
+// holding the lock that guards the engine's dispatch queue, and the static
+// helpers. RecordFailure
 // writes only the failed unit's entries; the engine must then publish the
 // requeue under that same lock.
 
@@ -57,6 +68,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
@@ -64,6 +76,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/campaign.h"
@@ -74,6 +87,13 @@ namespace zebra {
 // An immutable globally-unsafe set as the coordinator published it. Buffered
 // results and dispatches share one instance instead of copying the set.
 using UnsafeSnapshot = std::shared_ptr<const std::set<std::string>>;
+
+// One step of the predicted ladder: the snapshot to dispatch units at
+// canonical index first_unit and above under (until the next rung).
+struct Rung {
+  size_t first_unit = 0;
+  UnsafeSnapshot unsafe;
+};
 
 struct FoldUnit {
   size_t app_index = 0;
@@ -143,15 +163,48 @@ class CanonicalFold {
 
   // Folds buffered results in canonical order (poisoned units as empty
   // stubs) until the cursor's result is missing or the abort hook fires. A
-  // stale result at the cursor stops the fold, or — when `rerun` is set —
-  // is replaced by rerun(cursor), which must run the unit under
-  // globally_unsafe().
+  // result at the cursor that fails the two-sided check stops the fold, or —
+  // when `rerun` is set — is replaced by rerun(cursor), which must run the
+  // unit under globally_unsafe().
   using Rerun = std::function<UnitWorkResult(size_t unit)>;
   void Advance(const Rerun& rerun = nullptr);
 
   // Removes every stale buffered result and returns their unit indices in
-  // ascending order.
+  // ascending order: the cursor's result under the full two-sided check,
+  // every other one under the monotone side only.
   std::vector<size_t> TakeStale();
+
+  // True when a unit that tests `params_tested` and ran under `snapshot` is
+  // doomed by `unsafe`, a fold state at or before its turn: some tested
+  // parameter is in `unsafe` but not in the snapshot (the monotone side).
+  static bool MissesUnsafe(const std::vector<std::string>& params_tested,
+                           const std::set<std::string>& snapshot,
+                           const std::set<std::string>& unsafe);
+
+  // ---- Predicted ladder ----------------------------------------------------
+
+  // Brings the predicted ladder up to date and returns true when it changed
+  // for any unit at or after the cursor (the engine then republishes it).
+  // The first rung is U(cursor); each buffered result ahead of the cursor
+  // whose confirmations would push a parameter over the frequent-failure
+  // threshold (CampaignFolder::WouldMarkUnsafe) starts a new rung after its
+  // index. A prediction is only a guess — the two-sided check keeps every
+  // fold exact — but a correct one makes the unit's snapshot U(i). Nothing
+  // is rebuilt, and nothing allocated, unless a buffered result with
+  // confirmations arrived or left, or the set grew other than predicted.
+  bool UpdateLadder();
+  const std::vector<Rung>& ladder() const { return ladder_; }
+
+  // The rung of `ladder` that unit `unit` dispatches under: the last one
+  // whose first_unit ≤ unit. `ladder` must be non-empty.
+  static const UnsafeSnapshot& RungFor(const std::vector<Rung>& ladder,
+                                       size_t unit);
+
+  // The snapshot holding exactly globally_unsafe(), shared with the ladder.
+  // Valid after UpdateLadder.
+  const UnsafeSnapshot& current_unsafe() const {
+    return RungFor(ladder_, cursor_);
+  }
 
   // Seconds on the clock TakeDispatchable compares backoff releases with.
   static double Now();
@@ -165,9 +218,15 @@ class CanonicalFold {
   struct Buffered {
     UnitWorkResult unit;
     UnsafeSnapshot snapshot;
+    // Size of the globally-unsafe set when the monotone side last found this
+    // result fresh. The set only grows, so an unchanged size needs no
+    // re-check.
+    size_t fresh_at_size = SIZE_MAX;
   };
 
-  bool IsStale(const Buffered& result) const;
+  bool IsStale(size_t unit, Buffered& result);
+  // Marks the ladder for a rebuild when `result` carries confirmations.
+  void TouchLadder(const UnitWorkResult& result);
   void BeginAppsThrough(size_t app_index_exclusive);
   void FoldAtCursor(const UnitWorkResult& unit);
 
@@ -186,11 +245,20 @@ class CanonicalFold {
   bool stopped_ = false;
   int64_t requeued_units_ = 0;
   int64_t resumed_units_ = 0;
+  int64_t stale_reruns_ = 0;
 
   std::map<size_t, Buffered> buffered_;
   std::vector<int> attempts_;
   std::vector<double> not_before_;
   std::set<size_t> poisoned_;
+
+  std::vector<Rung> ladder_;
+  std::vector<Rung> next_ladder_;  // rebuild scratch, swapped in on change
+  // Extra distinct tests confirming a parameter ahead of the cursor, during
+  // a rebuild.
+  std::vector<std::pair<const std::string*, int>> predicted_confirmations_;
+  bool ladder_dirty_ = true;
+  size_t ladder_unsafe_size_ = 0;  // globally_unsafe().size() at last update
 };
 
 }  // namespace zebra

@@ -81,13 +81,18 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   std::mutex queue_mutex;
   std::condition_variable queue_cv;  // workers wait here for work / stop
   std::deque<size_t> queue;
-  // Coordinator's current globally-unsafe set, shared with dispatches by
-  // pointer. Republished under queue_mutex only when a fold advance grew the
-  // set, so a worker's snapshot is always some prefix-fold state — a subset
-  // of the exact sequential set for any unit still queued (the staleness
-  // invariant, canonical_fold.h).
-  UnsafeSnapshot published_unsafe =
-      std::make_shared<const std::set<std::string>>(fold.globally_unsafe());
+  // The predicted ladder (CanonicalFold::UpdateLadder): a dispatch of unit i
+  // takes the rung covering i, by pointer. Republished only when the ladder
+  // changed for some unit at or after the cursor.
+  fold.UpdateLadder();
+  std::vector<Rung> published_ladder = fold.ladder();
+  // The fold's exact current set, for cancelling doomed units in flight.
+  // unsafe_epoch counts its growths; a worker compares epochs before taking
+  // the lock to look at the set itself.
+  UnsafeSnapshot published_unsafe = fold.current_unsafe();
+  size_t published_unsafe_size = published_unsafe->size();
+  std::atomic<uint64_t> unsafe_epoch{0};
+  std::atomic<int64_t> cancelled_units{0};
   bool stop = false;
 
   for (size_t i = fold.cursor(); i < units.size(); ++i) {
@@ -115,10 +120,30 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
       engine.UseSharedRunCache(shared_cache.get());
     }
 
+    UnsafeSnapshot snapshot;
+    uint64_t seen_epoch = 0;
+    // Between pooled rounds: abandon the unit once the fold's set holds a
+    // tested parameter its snapshot lacks. By the monotone side of the
+    // staleness check its result could never fold. Costs one atomic load
+    // while the set has not grown.
+    const Campaign::AbandonCheck doomed =
+        [&](const std::vector<std::string>& params_tested) {
+          if (unsafe_epoch.load(std::memory_order_acquire) == seen_epoch) {
+            return false;
+          }
+          UnsafeSnapshot unsafe_now;
+          {
+            std::lock_guard<std::mutex> lock(queue_mutex);
+            unsafe_now = published_unsafe;
+            seen_epoch = unsafe_epoch.load(std::memory_order_relaxed);
+          }
+          return CanonicalFold::MissesUnsafe(params_tested, *snapshot,
+                                             *unsafe_now);
+        };
+
     for (;;) {
       size_t unit_index = 0;
       int attempt = 0;
-      UnsafeSnapshot snapshot;
       {
         std::unique_lock<std::mutex> lock(queue_mutex);
         for (;;) {
@@ -143,7 +168,10 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
           }
         }
         attempt = fold.attempt(unit_index);
-        snapshot = published_unsafe;
+        // Every rung contains the fold's current set, so nothing published
+        // so far dooms this dispatch.
+        snapshot = CanonicalFold::RungFor(published_ladder, unit_index);
+        seen_epoch = unsafe_epoch.load(std::memory_order_relaxed);
       }
 
       const FoldUnit& work = units[unit_index];
@@ -192,7 +220,21 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
 
       if (!skip_execution) {
         try {
-          slot.unit = engine.RunUnit(*work.test, *snapshot);
+          std::optional<UnitWorkResult> result =
+              engine.TryRunUnit(*work.test, *snapshot, doomed);
+          if (!result) {
+            // Cancelled: straight back to the queue head, to run again under
+            // a fresh rung. Not a failed attempt — no attempt is charged and
+            // nothing is delivered.
+            cancelled_units.fetch_add(1, std::memory_order_relaxed);
+            {
+              std::lock_guard<std::mutex> lock(queue_mutex);
+              queue.push_front(unit_index);
+            }
+            queue_cv.notify_one();
+            continue;
+          }
+          slot.unit = std::move(*result);
           slot.snapshot = std::move(snapshot);
         } catch (const std::exception& e) {
           // An exception escaping RunUnit is the in-process analog of a
@@ -252,19 +294,16 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   // ---- Coordinator: consume deliveries, fold canonically --------------------
 
   // Folds every result the canonical order allows, then eagerly re-queues
-  // EVERY stale buffered result (staleness is monotone, so each is provably
-  // stale at its own fold turn). A fold that grew the globally-unsafe set
-  // republishes the workers' snapshot.
+  // EVERY stale buffered result (staleness ahead of the cursor is monotone,
+  // so each is provably stale at its own fold turn). Republishes the ladder
+  // when it changed and the current set when it grew; an advance that
+  // changes nothing takes no lock and allocates nothing.
   auto advance_fold = [&]() {
     fold.Advance();
     std::vector<size_t> stale_units = fold.TakeStale();
-    // The new snapshot is built outside the lock; publishing is a pointer
-    // swap.
-    UnsafeSnapshot grown;
-    if (fold.globally_unsafe().size() != published_unsafe->size()) {
-      grown = std::make_shared<const std::set<std::string>>(fold.globally_unsafe());
-    }
-    if (stale_units.empty() && grown == nullptr) {
+    const bool ladder_changed = fold.UpdateLadder();
+    const bool grew = fold.globally_unsafe().size() != published_unsafe_size;
+    if (stale_units.empty() && !ladder_changed && !grew) {
       return;
     }
     {
@@ -275,8 +314,13 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
         slots[*it].ready.store(false, std::memory_order_relaxed);
         queue.push_front(*it);
       }
-      if (grown != nullptr) {
-        published_unsafe = std::move(grown);
+      if (ladder_changed) {
+        published_ladder = fold.ladder();
+      }
+      if (grew) {
+        published_unsafe = fold.current_unsafe();
+        published_unsafe_size = published_unsafe->size();
+        unsafe_epoch.fetch_add(1, std::memory_order_release);
       }
     }
     if (!stale_units.empty()) {
@@ -347,6 +391,8 @@ CampaignReport RunThreadPoolCampaign(const ConfSchema& schema,
   }
 
   fold.report().hung_workers = hung_workers;
+  fold.report().cancelled_units =
+      cancelled_units.load(std::memory_order_relaxed);
   if (shared_cache != nullptr) {
     // Under a shared cache the per-unit deltas are skipped (see
     // Campaign::RunUnit), so the folded counters are zero; fill the totals

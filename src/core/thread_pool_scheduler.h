@@ -25,18 +25,26 @@
 // run cache, one internally synchronized RunCache serves all workers, so a
 // result computed by one worker is a hit for every other.
 //
-// Determinism: workers run units under a snapshot of the globally-unsafe
-// set, the coordinator folds in canonical order, and any buffered result
-// whose snapshot is stale is discarded; every stale result is re-queued at
-// once (canonical_fold.h has the staleness argument). Findings, Table-5
+// Determinism: workers run units under a predicted snapshot of the
+// globally-unsafe set, the coordinator folds in canonical order, and any
+// buffered result whose snapshot disagrees with the exact set on a tested
+// parameter is discarded; every stale result is re-queued at once
+// (canonical_fold.h has the two-sided staleness argument). Findings, Table-5
 // stage counts, and runs_to_first_detection are bitwise-identical to
 // Campaign(...).Run() at every thread count.
 //
-// Snapshot delivery is by reference: the coordinator publishes the
-// globally-unsafe set as an UnsafeSnapshot, and every dispatch hands the
-// worker that pointer — never a copy of the set. A new snapshot is
-// published only when a fold actually grew the set, which keeps the
-// staleness check's equal-size fast path hot.
+// Exact speculation. The coordinator publishes CanonicalFold's predicted
+// ladder: U(cursor), then the set that folding the confirmations already
+// buffered ahead of the cursor would produce, rung by rung. A dispatch of
+// unit i hands the worker the rung covering i by pointer — never a copy —
+// so a unit whose predecessors have all reported runs under exactly U(i).
+// The ladder is republished only when it changed. Separately, every growth
+// of the fold's set bumps an atomic epoch; between pooled rounds a worker
+// compares epochs, and when the set grew and now holds a parameter the unit
+// tests but its snapshot lacks, it abandons the unit — its result could
+// never fold — and puts it back at the queue head to run under a fresh rung.
+// A cancellation is not a failed attempt (counted in cancelled_units, never
+// in requeued_units).
 //
 // Result delivery: one pre-sized slot per unit; a worker writes the result
 // into its unit's slot, publishes with a release store on the slot's ready
@@ -44,7 +52,8 @@
 // wakeup mutex. The coordinator swaps the list out and consumes exactly those
 // slots, so a wakeup costs O(deliveries), not O(units). The only mutexes are
 // the dispatch queue (workers pull units, the coordinator pushes requeues)
-// and that wakeup mutex — neither is held during unit execution.
+// and that wakeup mutex — neither is held during unit execution (a worker
+// takes the dispatch lock mid-unit only after the epoch moved).
 //
 // Fault tolerance. The fault-injection vocabulary (fault_injection.h) maps to
 // threads as follows: kCrash terminates the worker *thread* after reporting a

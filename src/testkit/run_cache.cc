@@ -104,6 +104,7 @@ bool DeserializeSessionReport(const std::string& blob, SessionReport* report) {
 // The hash-keyed index did not bump the version: keys are persisted in their
 // legacy string form.
 constexpr char kCacheFileMagic[] = "zebra-run-cache-v3";
+constexpr std::string_view kCacheFileFamily = "zebra-run-cache-v";
 
 // One-byte separators folded into key digests (string_view avoids the
 // char overload ambiguity and keeps the fold identical to hashing the
@@ -373,11 +374,25 @@ bool RunCache::DeriveComponentDigest(const std::string& key, Digest128* out) {
   return true;
 }
 
-bool RunCache::LoadFromFile(const std::string& path) {
+const char* RunCache::LoadResult::reason() const {
+  switch (status) {
+    case LoadStatus::kLoaded:
+      return "loaded";
+    case LoadStatus::kMissing:
+      return "missing";
+    case LoadStatus::kUnsupportedVersion:
+      return "unsupported version";
+    case LoadStatus::kCorrupt:
+      return "corrupt";
+  }
+  return "corrupt";
+}
+
+RunCache::LoadResult RunCache::LoadFromFile(const std::string& path) {
   std::lock_guard<std::mutex> lock(mutex_);
   std::ifstream in(path);
   if (!in) {
-    return false;  // missing file: the normal cold start, not a failure
+    return {LoadStatus::kMissing};  // the normal cold start, not a failure
   }
   lru_.clear();
   index_.clear();
@@ -387,7 +402,8 @@ bool RunCache::LoadFromFile(const std::string& path) {
   // Any defect — bad magic, torn tail, checksum mismatch, unparseable entry,
   // hashed/legacy key divergence — lands here: the cache degrades to empty
   // (a cold start) instead of throwing or keeping a half-loaded state.
-  auto reject = [this, &path](const char* why) {
+  auto reject = [this, &path](const char* why,
+                               LoadStatus status = LoadStatus::kCorrupt) {
     ZLOG_WARN << "run cache: ignoring " << path << " (" << why
               << "); starting cold";
     lru_.clear();
@@ -395,7 +411,7 @@ bool RunCache::LoadFromFile(const std::string& path) {
     stats_.entries = 0;
     stats_.bytes = 0;
     ++stats_.load_failures;
-    return false;
+    return LoadResult{status};
   };
 
   uint64_t digest = kFnv64Seed;
@@ -409,7 +425,10 @@ bool RunCache::LoadFromFile(const std::string& path) {
   };
 
   if (!next_line() || line != kCacheFileMagic) {
-    return reject("not a run-cache file or unsupported version");
+    // Same family, another format version: well-formed, but not ours.
+    return line.starts_with(kCacheFileFamily)
+               ? reject("unsupported version", LoadStatus::kUnsupportedVersion)
+               : reject("not a run-cache file");
   }
   int64_t count = 0;
   if (!next_line() || !ParseInt64(line, &count) || count < 0) {
@@ -469,7 +488,7 @@ bool RunCache::LoadFromFile(const std::string& path) {
     return reject("checksum mismatch (torn or tampered file)");
   }
   EnforceLimits();
-  return true;
+  return {LoadStatus::kLoaded};
 }
 
 }  // namespace zebra

@@ -174,14 +174,22 @@ class RunCache {
   // the current contents and re-derives each 128-bit key twice — from the
   // whole string and from its parsed components (the hot path's derivation) —
   // rejecting the file if they ever disagree: the gate that proves hashed
-  // and legacy lookups stay interchangeable. Stats are not persisted. Both
-  // return false on I/O or parse failure; a failed load leaves the cache
-  // empty — never half-loaded, never throwing — logs a warning, and
-  // increments Stats::load_failures (except for a missing file, which is the
-  // normal cold-start case). A warm start is an optimization, so corruption
-  // degrades to a cold start, not a crash.
+  // and legacy lookups stay interchangeable. Stats are not persisted. Save
+  // returns false on I/O failure. Load says why it did not warm-start: a
+  // missing file is the normal cold start; a file from another format
+  // version (an older zebra-run-cache-vN) and a corrupt file both leave the
+  // cache empty — never half-loaded, never throwing — log a warning, and
+  // increment Stats::load_failures. A warm start is an optimization, so
+  // either degrades to a cold start, not a crash.
+  enum class LoadStatus { kLoaded, kMissing, kUnsupportedVersion, kCorrupt };
+  struct LoadResult {
+    LoadStatus status = LoadStatus::kMissing;
+    explicit operator bool() const { return status == LoadStatus::kLoaded; }
+    // "loaded", "missing", "unsupported version" or "corrupt".
+    const char* reason() const;
+  };
   bool SaveToFile(const std::string& path) const;
-  bool LoadFromFile(const std::string& path);
+  LoadResult LoadFromFile(const std::string& path);
 
   // Legacy string keys: the persistence format, and the ground truth the
   // digests are defined over. Public so tests can prove the hashed/legacy

@@ -1,5 +1,7 @@
 #include "src/testkit/unit_test_registry.h"
 
+#include <algorithm>
+
 #include "src/common/error.h"
 
 namespace zebra {
@@ -10,10 +12,32 @@ void UnitTestRegistry::Add(std::string app, std::string name,
   def.id = app + "." + name;
   def.app = std::move(app);
   def.body = std::move(body);
-  if (Find(def.id) != nullptr) {
+  if ((tests_.size() + 1) * 2 > index_.size()) {
+    GrowIndex();
+  }
+  uint32_t& slot = index_[SlotFor(def.id)];
+  if (slot != 0) {
     throw InternalError("duplicate unit test registered: " + def.id);
   }
+  slot = static_cast<uint32_t>(tests_.size() + 1);
   tests_.push_back(std::move(def));
+}
+
+size_t UnitTestRegistry::SlotFor(std::string_view id) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t i = std::hash<std::string_view>{}(id) & mask;; i = (i + 1) & mask) {
+    const uint32_t slot = index_[i];
+    if (slot == 0 || tests_[slot - 1].id == id) {
+      return i;
+    }
+  }
+}
+
+void UnitTestRegistry::GrowIndex() {
+  index_.assign(std::max<size_t>(64, index_.size() * 2), 0);
+  for (size_t position = 0; position < tests_.size(); ++position) {
+    index_[SlotFor(tests_[position].id)] = static_cast<uint32_t>(position + 1);
+  }
 }
 
 std::vector<const UnitTestDef*> UnitTestRegistry::ForApp(const std::string& app) const {
@@ -27,12 +51,11 @@ std::vector<const UnitTestDef*> UnitTestRegistry::ForApp(const std::string& app)
 }
 
 const UnitTestDef* UnitTestRegistry::Find(const std::string& id) const {
-  for (const UnitTestDef& test : tests_) {
-    if (test.id == id) {
-      return &test;
-    }
+  if (index_.empty()) {
+    return nullptr;
   }
-  return nullptr;
+  const uint32_t slot = index_[SlotFor(id)];
+  return slot == 0 ? nullptr : &tests_[slot - 1];
 }
 
 std::map<std::string, int> UnitTestRegistry::CountsByApp() const {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/error.h"
 #include "src/testkit/ground_truth.h"
 #include "src/testkit/test_execution.h"
 #include "src/testkit/unit_test_registry.h"
@@ -39,6 +40,27 @@ TEST(CorpusTest, IdsAreUniqueAndPrefixed) {
 
 // Every deterministic corpus test passes with its original configuration.
 class CorpusPassesTest : public ::testing::TestWithParam<std::string> {};
+
+TEST(CorpusTest, RegistryIndexKeepsOrderAndRejectsDuplicates) {
+  // Enough ids to grow the id index several times over.
+  UnitTestRegistry registry;
+  for (int i = 0; i < 500; ++i) {
+    registry.Add("app" + std::to_string(i % 3), "Test" + std::to_string(i),
+                 [](TestContext&) {});
+  }
+  ASSERT_EQ(registry.tests().size(), 500u);
+  for (int i = 0; i < 500; ++i) {
+    const std::string id =
+        "app" + std::to_string(i % 3) + ".Test" + std::to_string(i);
+    EXPECT_EQ(registry.tests()[i].id, id);
+    EXPECT_EQ(registry.Find(id), &registry.tests()[i]);
+  }
+  EXPECT_EQ(registry.Find("app0.Test1"), nullptr);
+  EXPECT_EQ(UnitTestRegistry().Find("app0.Test0"), nullptr);
+  EXPECT_THROW(registry.Add("app1", "Test499", [](TestContext&) {}),
+               InternalError);
+  EXPECT_EQ(registry.tests().size(), 500u);
+}
 
 TEST_P(CorpusPassesTest, PassesWithOriginalConfiguration) {
   const UnitTestDef* test = FullCorpus().Find(GetParam());

@@ -317,7 +317,10 @@ TEST(RunCacheTest, LoadRejectsWellFormedV2File) {
   }
   RunCache cache;
   cache.Insert("t", "p", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
-  EXPECT_FALSE(cache.LoadFromFile(path));
+  const RunCache::LoadResult loaded = cache.LoadFromFile(path);
+  EXPECT_FALSE(loaded);
+  EXPECT_EQ(loaded.status, RunCache::LoadStatus::kUnsupportedVersion);
+  EXPECT_STREQ(loaded.reason(), "unsupported version");
   std::remove(path.c_str());
   EXPECT_EQ(cache.stats().entries, 0);
   EXPECT_EQ(cache.stats().bytes, 0);
@@ -336,7 +339,9 @@ TEST(RunCacheTest, SaveLoadRejectsCorruptFile) {
   }
   RunCache cache;
   cache.Insert("t", "p", 0, /*trial_insensitive=*/false, MakeResult(true, ""));
-  EXPECT_FALSE(cache.LoadFromFile(path));
+  const RunCache::LoadResult loaded = cache.LoadFromFile(path);
+  EXPECT_FALSE(loaded);
+  EXPECT_EQ(loaded.status, RunCache::LoadStatus::kCorrupt);
   // A failed load leaves the cache empty, never half-loaded — and counts a
   // load failure (the campaign surfaces it as cache_load_failures).
   EXPECT_EQ(cache.stats().entries, 0);
@@ -371,7 +376,8 @@ TEST(RunCacheTest, LoadRejectsTruncatedRealFile) {
   }
 
   RunCache reloaded;
-  EXPECT_FALSE(reloaded.LoadFromFile(path));
+  EXPECT_EQ(reloaded.LoadFromFile(path).status,
+            RunCache::LoadStatus::kCorrupt);
   EXPECT_EQ(reloaded.stats().entries, 0);
   EXPECT_EQ(reloaded.stats().load_failures, 1);
   std::remove(path.c_str());
@@ -412,7 +418,9 @@ TEST(RunCacheTest, MissingFileIsColdStartNotFailure) {
   const std::string path = ::testing::TempDir() + "/run_cache_missing.zc";
   std::remove(path.c_str());
   RunCache cache;
-  EXPECT_FALSE(cache.LoadFromFile(path));
+  const RunCache::LoadResult loaded = cache.LoadFromFile(path);
+  EXPECT_FALSE(loaded);
+  EXPECT_EQ(loaded.status, RunCache::LoadStatus::kMissing);
   EXPECT_EQ(cache.stats().load_failures, 0);
 }
 

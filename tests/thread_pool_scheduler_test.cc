@@ -14,6 +14,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.h"
@@ -155,9 +156,10 @@ TEST(ThreadPoolSchedulerTest, UnprunedRegimeBitwiseIdentical) {
 
 TEST(ThreadPoolSchedulerTest, LowFailureThresholdStaleResultsStayBitwiseIdentical) {
   // A frequent-failure threshold of 1 or 2 grows the globally-unsafe set at
-  // nearly every confirmation: the most snapshot republications and the most
-  // stale speculative results. The staleness check's equal-size fast path
-  // must never wave one of them through.
+  // nearly every confirmation: the most ladder republications, the most
+  // predictions resting on speculative confirmations, and the most stale
+  // results and cancellations. The two-sided staleness check must never
+  // wave one of them through.
   for (int threshold : {1, 2}) {
     CampaignOptions options;  // all apps
     options.frequent_failure_threshold = threshold;
@@ -175,6 +177,69 @@ TEST(ThreadPoolSchedulerTest, LowFailureThresholdStaleResultsStayBitwiseIdentica
       // Timing is the only legitimate difference in the serialized form.
       pooled.wall_seconds = expected.wall_seconds;
       pooled.run_durations_seconds = expected.run_durations_seconds;
+      EXPECT_EQ(SerializeReport(pooled), expected_text) << label;
+    }
+  }
+}
+
+// Every corpus test registered `replicas` times under distinct ids. Test
+// RNGs and cache keys derive from the id, so each replica is an independent
+// draw of the same test — the shape of a large campaign, where the
+// globally-unsafe set grows early and most units run under a prediction.
+UnitTestRegistry ReplicatedCorpus(int replicas) {
+  UnitTestRegistry registry;
+  for (int replica = 0; replica < replicas; ++replica) {
+    for (const UnitTestDef& test : FullCorpus().tests()) {
+      registry.Add(test.app,
+                   test.id.substr(test.app.size() + 1) + "_r" +
+                       std::to_string(replica),
+                   test.body);
+    }
+  }
+  return registry;
+}
+
+TEST(ThreadPoolSchedulerTest, ReplicatedCorpusBitwiseIdentical) {
+  const UnitTestRegistry corpus = ReplicatedCorpus(4);
+  CampaignOptions options;  // all apps
+  options.requeue_backoff_seconds = 0.0;  // keep the faulted legs fast
+  CampaignReport expected = Campaign(FullSchema(), corpus, options).Run();
+  ASSERT_GT(expected.findings.size(), 0u);
+  const std::string expected_text = SerializeReport(expected);
+
+  // One of each fault a worker thread survives, plus one thread death, on
+  // replicas spread over the campaign.
+  FaultPlan faults;
+  for (auto [kind, test_id] :
+       {std::pair{FaultKind::kHang, "minidfs.TestPipelineReplication_r1"},
+        std::pair{FaultKind::kGarbledFrame, "minimr.TestCommitterV1Job_r2"},
+        std::pair{FaultKind::kCrash, "ministream.TestTwoJobsSequential_r3"}}) {
+    ASSERT_NE(corpus.Find(test_id), nullptr) << test_id;
+    FaultSpec spec;
+    spec.kind = kind;
+    spec.test_id = test_id;
+    spec.worker = -1;
+    spec.attempt = 0;
+    faults.specs.push_back(spec);
+  }
+
+  for (bool faulted : {false, true}) {
+    for (int workers : {2, 4, 6}) {
+      const std::string label = std::string(faulted ? "faulted" : "clean") +
+                                " workers=" + std::to_string(workers);
+      ThreadPoolCampaignOptions pool;
+      pool.workers = workers;
+      if (faulted) {
+        pool.faults = faults;
+      }
+      CampaignReport pooled =
+          RunThreadPoolCampaign(FullSchema(), corpus, options, pool);
+      ExpectIdenticalResults(pooled, expected, label);
+      EXPECT_TRUE(pooled.poisoned_units.empty()) << label;
+      EXPECT_EQ(pooled.requeued_units, faulted ? 3 : 0) << label;
+      pooled.wall_seconds = expected.wall_seconds;
+      pooled.run_durations_seconds = expected.run_durations_seconds;
+      pooled.requeued_units = pooled.hung_workers = 0;
       EXPECT_EQ(SerializeReport(pooled), expected_text) << label;
     }
   }
