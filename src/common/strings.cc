@@ -35,7 +35,7 @@ std::string StrJoin(const std::vector<std::string>& pieces, std::string_view sep
   return result;
 }
 
-std::string StrTrim(std::string_view text) {
+std::string_view StrTrimView(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
   while (begin < end && std::isspace(static_cast<unsigned char>(text[begin])) != 0) {
@@ -44,8 +44,10 @@ std::string StrTrim(std::string_view text) {
   while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1])) != 0) {
     --end;
   }
-  return std::string(text.substr(begin, end - begin));
+  return text.substr(begin, end - begin);
 }
+
+std::string StrTrim(std::string_view text) { return std::string(StrTrimView(text)); }
 
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
@@ -57,7 +59,7 @@ bool EndsWith(std::string_view text, std::string_view suffix) {
 }
 
 bool ParseInt64(std::string_view text, int64_t* out) {
-  std::string trimmed = StrTrim(text);
+  std::string_view trimmed = StrTrimView(text);
   if (trimmed.empty()) {
     return false;
   }
@@ -72,18 +74,34 @@ bool ParseInt64(std::string_view text, int64_t* out) {
   return true;
 }
 
-bool ParseDouble(std::string_view text, double* out) {
-  std::string trimmed = StrTrim(text);
-  if (trimmed.empty()) {
-    return false;
-  }
+namespace {
+
+bool ParseTrimmedDouble(const char* terminated, double* out) {
   char* end_ptr = nullptr;
-  double value = std::strtod(trimmed.c_str(), &end_ptr);
+  double value = std::strtod(terminated, &end_ptr);
   if (end_ptr == nullptr || *end_ptr != '\0') {
     return false;
   }
   *out = value;
   return true;
+}
+
+}  // namespace
+
+bool ParseDouble(std::string_view text, double* out) {
+  std::string_view trimmed = StrTrimView(text);
+  if (trimmed.empty()) {
+    return false;
+  }
+  // strtod needs a terminated string; every number this project writes fits
+  // the stack buffer, so only an oversized value pays for a heap copy.
+  char buffer[64];
+  if (trimmed.size() < sizeof(buffer)) {
+    std::memcpy(buffer, trimmed.data(), trimmed.size());
+    buffer[trimmed.size()] = '\0';
+    return ParseTrimmedDouble(buffer, out);
+  }
+  return ParseTrimmedDouble(std::string(trimmed).c_str(), out);
 }
 
 bool ParseBool(std::string_view text, bool* out) {

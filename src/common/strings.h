@@ -16,8 +16,10 @@ std::vector<std::string> StrSplit(std::string_view text, char sep);
 // Joins `pieces` with `sep`.
 std::string StrJoin(const std::vector<std::string>& pieces, std::string_view sep);
 
-// Removes leading/trailing ASCII whitespace.
+// Removes leading/trailing ASCII whitespace (isspace). The view form returns
+// a slice of `text`.
 std::string StrTrim(std::string_view text);
+std::string_view StrTrimView(std::string_view text);
 
 // True if `text` starts with / ends with the given affix.
 bool StartsWith(std::string_view text, std::string_view prefix);

@@ -78,6 +78,115 @@ std::string FabricSchemaHash(const ConfSchema& schema,
       HashFnv64(CampaignJournal::Fingerprint(engine.options(), corpus)));
 }
 
+std::string EncodeSnapshotSection(int64_t agent_epoch,
+                                  const UnsafeSnapshot& agent_base,
+                                  int64_t epoch,
+                                  const std::vector<Rung>& ladder) {
+  std::string section = Int64ToString(agent_epoch) + " " + Int64ToString(epoch);
+  if (agent_epoch == epoch) {
+    return section + " K";
+  }
+  const std::set<std::string>& base = *ladder.front().unsafe;
+  // Appends "<mark>param" for each of `params` not in `minus` to the line
+  // that starts at `line_start`, comma-separated.
+  auto append_list = [&section](size_t line_start,
+                                const std::set<std::string>& params,
+                                const std::set<std::string>* minus,
+                                const char* mark) {
+    for (const std::string& param : params) {
+      if (minus != nullptr && minus->count(param) > 0) {
+        continue;
+      }
+      if (section.size() > line_start) {
+        section += ',';
+      }
+      section += mark;
+      section += param;
+    }
+  };
+  if (agent_epoch < 0 || agent_base == nullptr) {
+    section += " F\n";
+    append_list(section.size(), base, nullptr, "");
+  } else {
+    section += " D\n";
+    const size_t line_start = section.size();
+    append_list(line_start, base, agent_base.get(), "+");
+    append_list(line_start, *agent_base, &base, "-");
+  }
+  for (size_t r = 1; r < ladder.size(); ++r) {
+    section += "\n" + Int64ToString(static_cast<int64_t>(ladder[r].first_unit)) +
+               " ";
+    append_list(section.size(), *ladder[r].unsafe, ladder[r - 1].unsafe.get(),
+                "");
+  }
+  return section;
+}
+
+bool ApplySnapshotSection(std::string_view section, int64_t* wire_epoch,
+                          std::vector<Rung>* ladder) {
+  std::vector<std::string> lines = StrSplit(section, '\n');
+  std::vector<std::string> head = StrSplit(lines[0], ' ');
+  int64_t base_epoch = -1;
+  int64_t epoch = -1;
+  if (head.size() != 3 || !ParseInt64(head[0], &base_epoch) ||
+      !ParseInt64(head[1], &epoch)) {
+    return false;
+  }
+  const std::string& mode = head[2];
+  if (mode == "K") {
+    return *wire_epoch == base_epoch && !ladder->empty();
+  }
+  std::set<std::string> base;
+  if (mode == "D") {
+    if (*wire_epoch != base_epoch || ladder->empty()) {
+      return false;
+    }
+    base = *ladder->front().unsafe;
+  } else if (mode != "F") {
+    return false;
+  }
+  if (lines.size() < 2) {
+    return false;
+  }
+  for (const std::string& entry : StrSplit(lines[1], ',')) {
+    if (mode == "F") {
+      if (!entry.empty()) {
+        base.insert(entry);
+      }
+    } else if (entry.size() >= 2 && entry[0] == '+') {
+      base.insert(entry.substr(1));
+    } else if (entry.size() >= 2 && entry[0] == '-') {
+      base.erase(entry.substr(1));
+    }
+  }
+  std::vector<Rung> next;
+  next.push_back(
+      Rung{0, std::make_shared<const std::set<std::string>>(std::move(base))});
+  for (size_t line = 2; line < lines.size(); ++line) {
+    const size_t space = lines[line].find(' ');
+    int64_t first_unit = -1;
+    if (space == std::string::npos ||
+        !ParseInt64(std::string_view(lines[line]).substr(0, space),
+                    &first_unit) ||
+        first_unit < 0 ||
+        static_cast<size_t>(first_unit) <= next.back().first_unit) {
+      return false;  // rungs start strictly above the one below
+    }
+    std::set<std::string> rung = *next.back().unsafe;
+    for (const std::string& param : StrSplit(lines[line].substr(space + 1), ',')) {
+      if (!param.empty()) {
+        rung.insert(param);
+      }
+    }
+    next.push_back(Rung{static_cast<size_t>(first_unit),
+                        std::make_shared<const std::set<std::string>>(
+                            std::move(rung))});
+  }
+  ladder->swap(next);
+  *wire_epoch = epoch;
+  return true;
+}
+
 int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
                      CampaignOptions options,
                      const CampaignAgentOptions& agent) {
@@ -161,20 +270,23 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
   std::deque<AgentWorkItem> queue;
   bool stop = false;
 
-  // Globally-unsafe snapshot, shared under queue_mutex. The reader applies
-  // every received snapshot section here; a worker copies the set at the
-  // moment it *starts* a unit — not when the batch arrived — so a pipelined
-  // unit that waited behind depth-1 peers runs under the freshest set this
-  // agent has ever been told about, exactly as a thread-pool worker reads
-  // the live set at execution start. Two epochs track it: the wire epoch is
-  // the delta-validation ack (-1 = cannot prove currency, forces the nack /
-  // full-resend path) and the run epoch names the held set itself (it
-  // survives a desync, because the set does). Every result is stamped with
-  // the run epoch it executed under; the coordinator judges staleness
-  // against that epoch's set. Epoch 0 = the empty set both sides start from.
+  // The predicted ladder, shared under queue_mutex. The reader applies every
+  // received snapshot section here; a worker takes the rung covering its
+  // unit at the moment it *starts* the unit — not when the batch arrived —
+  // so a pipelined unit that waited behind depth-1 peers runs under the
+  // freshest ladder this agent has been told about, exactly as a
+  // thread-pool worker takes its rung at dispatch. Rungs are shared
+  // immutable snapshots: taking one copies a pointer, not the set. Two
+  // epochs track the ladder: the wire epoch is the delta-validation ack (-1
+  // = cannot prove currency, forces the nack / full-resend path) and the run
+  // epoch names the held ladder itself (it survives a desync, because the
+  // ladder does). Every result is stamped with the run epoch it executed
+  // under; the coordinator resolves that epoch and the unit index to the
+  // rung. No unit is accepted before the first full send, so the ladder is
+  // never empty when a worker reads it.
   int64_t snap_epoch_wire = -1;
-  int64_t snap_epoch_run = 0;
-  std::set<std::string> snap_unsafe;
+  int64_t snap_epoch_run = -1;
+  std::vector<Rung> ladder;
 
   // All socket writes (result batches, heartbeats, nacks, injected junk)
   // serialize here so frames never interleave mid-stream.
@@ -296,16 +408,16 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
 
       // Execution-start snapshot read: whatever the reader has applied by
       // now, even if it landed after this unit's own dispatch batch.
-      std::set<std::string> unsafe;
+      UnsafeSnapshot unsafe;
       int64_t run_epoch = 0;
       {
         std::lock_guard<std::mutex> lock(queue_mutex);
-        unsafe = snap_unsafe;
+        unsafe = CanonicalFold::RungFor(ladder, item.unit_index);
         run_epoch = snap_epoch_run;
       }
       UnitWorkResult unit;
       try {
-        unit = engine.RunUnit(test, unsafe);
+        unit = engine.RunUnit(test, *unsafe);
       } catch (const std::exception& e) {
         // Treat it as a dead agent: take the whole agent down so the
         // coordinator's requeue path recovers the lease. One bad unit costs
@@ -437,49 +549,13 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
       break;
     }
 
-    // Record 0: the snapshot section. "<base_epoch> <new_epoch> <mode>" then
-    // a CSV line — the full set for F(ull), "+param"/"-param" deltas against
-    // base_epoch for D(elta), empty for K(eep, no change since base).
+    // Record 0: the snapshot section (EncodeSnapshotSection).
     bool snapshot_ok = false;
     {
-      size_t newline = records[0].find('\n');
-      std::vector<std::string> head =
-          StrSplit(records[0].substr(0, newline), ' ');
-      int64_t base = -1, next = -1;
-      if (head.size() >= 3 && ParseInt64(head[0], &base) &&
-          ParseInt64(head[1], &next)) {
-        std::vector<std::string> entries;
-        if (newline != std::string::npos) {
-          entries = StrSplit(records[0].substr(newline + 1), ',');
-        }
-        std::lock_guard<std::mutex> lock(queue_mutex);
-        if (head[2] == "F") {
-          snap_unsafe.clear();
-          for (const std::string& param : entries) {
-            if (!param.empty()) {
-              snap_unsafe.insert(param);
-            }
-          }
-          snap_epoch_wire = next;
-          snap_epoch_run = next;
-          snapshot_ok = true;
-        } else if (head[2] == "D" && snap_epoch_wire == base) {
-          for (const std::string& entry : entries) {
-            if (entry.size() < 2) {
-              continue;
-            }
-            if (entry[0] == '+') {
-              snap_unsafe.insert(entry.substr(1));
-            } else if (entry[0] == '-') {
-              snap_unsafe.erase(entry.substr(1));
-            }
-          }
-          snap_epoch_wire = next;
-          snap_epoch_run = next;
-          snapshot_ok = true;
-        } else if (head[2] == "K" && snap_epoch_wire == base) {
-          snapshot_ok = true;
-        }
+      std::lock_guard<std::mutex> lock(queue_mutex);
+      snapshot_ok = ApplySnapshotSection(records[0], &snap_epoch_wire, &ladder);
+      if (snapshot_ok) {
+        snap_epoch_run = snap_epoch_wire;
       }
     }
 
@@ -507,8 +583,8 @@ int RunCampaignAgent(const ConfSchema& schema, const UnitTestRegistry& corpus,
                            units[static_cast<size_t>(unit_index)]->id,
                            static_cast<int>(attempt))) {
         nacked.push_back(records[r]);
-        // The set survives (so does its run epoch); the proof of currency
-        // does not.
+        // The ladder survives (so does its run epoch); the proof of
+        // currency does not.
         std::lock_guard<std::mutex> lock(queue_mutex);
         snap_epoch_wire = -1;
         continue;

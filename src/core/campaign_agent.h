@@ -18,21 +18,23 @@
 // door. The protocol version rides in every frame header and is checked
 // before the payload is even trusted.
 //
-// Steady state (wire v2). The main thread reads kDispatchBatch frames — a
-// snapshot section carrying the globally-unsafe set as an epoch-numbered
-// full send or a delta against the agent's acknowledged epoch, followed by
-// any number of "<unit> <attempt>" records — into a local queue; worker
-// threads pull, execute Campaign::RunUnit under the dispatched snapshot,
-// and push "<unit> <attempt>\n" + SerializeUnitResult records into a shared
-// outbox that one worker at a time drains into kResultBatch frames (socket
-// writes serialized by a mutex), so a burst of completions costs one frame,
-// not one frame each. A delta against an epoch the agent does not hold is
-// *refused*: the units are returned in a kSnapshotNack (never executed
-// under a set the agent cannot prove current) and the coordinator falls
-// back to a full snapshot resend. A heartbeat thread sends an empty
-// kHeartbeat frame every interval the coordinator chose; heartbeats are the
-// agent's liveness proof, separate from results, so a long-running unit
-// does not look like a dead host. On kShutdown the agent drains its
+// Steady state (wire v3). The main thread reads kDispatchBatch frames — a
+// snapshot section carrying the coordinator's predicted ladder
+// (CanonicalFold::UpdateLadder) as an epoch-numbered full send or a delta
+// against the agent's acknowledged epoch, followed by any number of
+// "<unit> <attempt>" records — into a local queue; worker threads pull, take
+// the rung covering their unit (CanonicalFold::RungFor, a shared immutable
+// snapshot) when the unit starts, execute Campaign::RunUnit under it, and
+// push "<unit> <attempt> <epoch>\n" + SerializeUnitResult records into a
+// shared outbox that one worker at a time drains into kResultBatch frames
+// (socket writes serialized by a mutex), so a burst of completions costs one
+// frame, not one frame each. A delta against an epoch the agent does not
+// hold is *refused*: the units are returned in a kSnapshotNack (never
+// executed under a ladder the agent cannot prove current) and the
+// coordinator falls back to a full resend. A heartbeat thread sends an
+// empty kHeartbeat frame every interval the coordinator chose; heartbeats
+// are the agent's liveness proof, separate from results, so a long-running
+// unit does not look like a dead host. On kShutdown the agent drains its
 // workers, persists the run cache (when cache_dir is set), answers kStats,
 // and exits 0.
 //
@@ -69,8 +71,11 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/core/campaign.h"
+#include "src/core/canonical_fold.h"
 #include "src/core/fault_injection.h"
 
 namespace zebra {
@@ -109,6 +114,33 @@ struct CampaignAgentOptions {
 std::string FabricSchemaHash(const ConfSchema& schema,
                              const UnitTestRegistry& corpus,
                              const CampaignOptions& options);
+
+// The snapshot section (record 0 of every kDispatchBatch, wire v3):
+//
+//   <agent epoch> <epoch> F|D|K
+//   <base>                          F and D only
+//   <first unit> <params>           one line per rung above the base
+//
+// The base is the ladder's first rung: its full comma-separated set for
+// F(ull), "+param"/"-param" changes against the base of <agent epoch> for
+// D(elta). Each rung line lists the parameters that rung adds to the one
+// below it (rungs only grow). K(eep) says the agent's ladder is current:
+// <agent epoch> is already <epoch>. An epoch names one whole ladder, so a
+// result stamped with the epoch it ran at and its unit index resolves to
+// exactly the snapshot it ran under.
+//
+// Encodes `ladder` as epoch `epoch` for an agent that holds `agent_epoch`
+// (-1 = nothing provable, so a full send) with base `agent_base`.
+std::string EncodeSnapshotSection(int64_t agent_epoch,
+                                  const UnsafeSnapshot& agent_base,
+                                  int64_t epoch,
+                                  const std::vector<Rung>& ladder);
+
+// Applies a section to an agent holding `*ladder` at `*wire_epoch`: true
+// with both updated, or false — untouched — when the section is malformed
+// or is a delta or keep against an epoch other than `*wire_epoch`.
+bool ApplySnapshotSection(std::string_view section, int64_t* wire_epoch,
+                          std::vector<Rung>* ladder);
 
 // Runs one agent to completion. Returns the process exit code: 0 after a
 // clean kShutdown, nonzero when the coordinator vanished or refused the

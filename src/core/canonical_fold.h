@@ -41,19 +41,26 @@
 //     have tested. This happens only when S was a prediction that overshot;
 //     it is decided at the unit's fold turn, when the fold's set is U(i).
 //
-// Snapshots are not fold prefixes: the thread pool dispatches under a
-// predicted ladder (UpdateLadder) — U(cursor) plus what folding the
-// confirmations already buffered ahead of the cursor would add — so a
-// snapshot can be larger than the current set, and no size comparison can
-// stand in for the check. The fabric still sends fold prefixes (S ⊆ U(i)),
-// for which the second side never fires.
+// Snapshots are not fold prefixes: both engines dispatch under a predicted
+// ladder (UpdateLadder) — U(cursor) plus what folding the confirmations
+// already buffered ahead of the cursor would add — so a snapshot can be
+// larger than the current set, and no size comparison can stand in for the
+// check. The thread pool hands each dispatch its rung by pointer; the fabric
+// sends the ladder over the wire, its agents take the rung covering a unit
+// when the unit starts, and the coordinator resolves the (ladder epoch,
+// unit) a result reports back to that rung before Buffer — so the second
+// side is live for both.
 //
 // The remedy for a stale result is the engine's choice. The thread pool
 // discards every stale buffered result at once (TakeStale) and re-queues
 // the wave, so idle workers re-run the units in parallel. The fabric keeps
 // stale results buffered until the cursor reaches them and re-runs them
 // locally (Advance's `rerun` hook): at the cursor the folder's set is exactly
-// U(i), so that re-run is final. Both count the discarded results in
+// U(i), so that re-run is final. It stays synchronous on purpose: while the
+// coordinator re-runs it dispatches nothing, which holds speculation back.
+// (Scratch builds that re-ran on a helper thread, or re-queued the stale
+// results to the agents, made more executions per campaign; docs/PARALLEL.md
+// has the numbers.) Both count the discarded results in
 // CampaignReport::stale_reruns.
 //
 // Threading. Every member is for the coordinator thread, except units(),

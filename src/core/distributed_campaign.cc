@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -41,6 +42,7 @@ namespace {
 struct Lease {
   int attempt = 0;
   uint64_t sequence = 0;  // campaign-wide dispatch order
+  int64_t epoch = 0;      // ladder epoch its dispatch batch carried
   double dispatch_seconds = 0.0;
   double deadline_seconds = 0.0;  // watchdog budget (0 = no deadline)
 };
@@ -54,13 +56,14 @@ struct AgentConn {
   bool alive = false;
   std::map<size_t, Lease> leases;
 
-  // Snapshot-delta bookkeeping: the epoch (and set) this agent holds, as
-  // far as the coordinator knows. -1 = holds nothing (fresh connection, or
-  // a nack told us its state is unprovable) — the next dispatch is a full
-  // send. Updated optimistically after a successful batch write; a wrong
-  // guess is harmless because the agent nacks anything it cannot apply.
+  // Snapshot-delta bookkeeping: the ladder epoch (and its base rung) this
+  // agent holds, as far as the coordinator knows. -1 = holds nothing (fresh
+  // connection, or a nack told us its state is unprovable) — the next
+  // dispatch is a full send. Updated optimistically after a successful
+  // batch write; a wrong guess is harmless because the agent nacks anything
+  // it cannot apply.
   int64_t snap_epoch = -1;
-  UnsafeSnapshot snap_set;
+  UnsafeSnapshot snap_base;
 };
 
 // RAII over the whole fleet: every exit path (including exceptions mid-
@@ -95,6 +98,22 @@ struct Fleet {
     ReapAll(pending);  // best effort; exit status no longer matters here
   }
 };
+
+// Parses the three integers "<unit> <attempt> <epoch>" a result record's
+// first line starts with (as StrSplit on ' ' and ParseInt64 each would:
+// later fields are ignored).
+bool ParseRecordHead(std::string_view line, int64_t (&head)[3]) {
+  for (size_t i = 0; i < 3; ++i) {
+    const size_t space = line.find(' ');
+    if (!ParseInt64(line.substr(0, space), &head[i]) ||
+        (space == std::string_view::npos && i < 2)) {
+      return false;
+    }
+    line.remove_prefix(space == std::string_view::npos ? line.size()
+                                                        : space + 1);
+  }
+  return true;
+}
 
 int64_t ParseStatLine(const std::string& line, const char* key) {
   std::string prefix = std::string(key) + "=";
@@ -236,7 +255,7 @@ CampaignReport RunDistributedCampaign(
                      : ReadFabricFrame(fd, &type, &payload);
       if (hello_status == FabricRead::kVersionMismatch) {
         // An intact frame from another protocol era — refuse it by name. An
-        // older peer cannot parse a v2 reject frame, but it does see the
+        // older peer cannot parse a v3 reject frame, but it does see the
         // close and gives up; a future peer reads the reason verbatim.
         ZLOG_WARN << "distributed campaign: connector speaks a different "
                      "wire protocol version; rejecting";
@@ -303,21 +322,21 @@ CampaignReport RunDistributedCampaign(
     }
     uint64_t next_lease_sequence = 0;
 
-    // Snapshot delta state. The coordinator-side epoch ticks whenever the
-    // globally-unsafe set changes (it only ever grows today, but the delta
-    // encoding carries removals too); each AgentConn remembers the epoch it
-    // last successfully sent, so steady-state dispatches carry a few bytes
-    // of delta instead of the whole set. Every result arrives stamped with
-    // the epoch of the snapshot it actually executed under (the agent reads
-    // the freshest applied set at execution start, not at dispatch), and is
-    // buffered with that epoch's set from epoch_sets — one entry per
-    // distinct set the campaign ever produced, never pruned (bounded by the
-    // number of unsafe params found).
-    int64_t coord_epoch = 0;
-    UnsafeSnapshot coord_set = std::make_shared<const std::set<std::string>>();
-    std::map<int64_t, UnsafeSnapshot> epoch_sets;
-    epoch_sets[0] = coord_set;
-    std::vector<double> completion_seconds;
+    // Ladder epochs. The coordinator dispatches under the fold's predicted
+    // ladder (CanonicalFold::UpdateLadder), as the thread pool does, and the
+    // epoch ticks whenever the ladder changes for some unit at or after the
+    // cursor — a growth the ladder predicted changes nothing and sends
+    // nothing. Each AgentConn remembers the epoch it last successfully
+    // sent, so steady-state dispatches carry a few bytes
+    // (EncodeSnapshotSection). Every result arrives stamped with the epoch of the ladder it actually
+    // executed under (the agent takes its rung at execution start, not at
+    // dispatch), and is buffered with that ladder's rung for its unit. An
+    // epoch stays in epoch_ladders while a live lease can still report it:
+    // a lease's result carries at least the epoch its dispatch batch
+    // carried, so every epoch below the oldest live lease's is pruned.
+    int64_t coord_epoch = -1;
+    std::map<int64_t, std::vector<Rung>> epoch_ladders;
+    StreamingPercentile95 completion_p95;
 
     auto alive_agents = [&]() {
       int alive = 0;
@@ -433,20 +452,28 @@ CampaignReport RunDistributedCampaign(
         throw Error("distributed campaign: all agents died");
       }
 
-      // Refresh the epoch before dispatching. An agent applies whatever
-      // snapshot it last received and its workers read it at execution
-      // start, so any epoch a result can carry names a set the coordinator
-      // folded at some earlier point — always a subset of the current
-      // globally-unsafe set (the fold only grows it). That is exactly the
-      // validity class of a per-lease snapshot; the staleness check
-      // in advance_fold re-runs anything that missed a param, so findings
-      // stay bitwise-identical while far fewer units *are* stale.
-      if (fold.globally_unsafe() != *coord_set) {
-        coord_set = std::make_shared<const std::set<std::string>>(
-            fold.globally_unsafe());
-        ++coord_epoch;
-        epoch_sets[coord_epoch] = coord_set;
+      // Refresh the ladder before dispatching. An agent applies whatever
+      // ladder it last received and its workers take their rung at
+      // execution start, so a result may have run under an older ladder
+      // than its dispatch carried, or a newer one; either way the epoch it
+      // reports names the exact snapshot, and the two-sided check in
+      // Advance re-runs anything whose snapshot disagrees with the exact
+      // set on a tested parameter — too small or, when a prediction
+      // overshot, too large — so findings stay bitwise-identical while far
+      // fewer units *are* stale.
+      if (fold.UpdateLadder() || epoch_ladders.empty()) {
+        epoch_ladders.emplace(++coord_epoch, fold.ladder());
       }
+      const std::vector<Rung>& coord_ladder = epoch_ladders.rbegin()->second;
+      // A pipelined unit legitimately waits behind up to depth-1 queued
+      // units per thread before it starts; its watchdog budget scales to
+      // match. (Completion samples include that wait, so the p95 term is
+      // self-correcting; the scale protects the floor-dominated regime.)
+      const double deadline =
+          WatchdogDeadlineFromP95(resolved.watchdog_floor_seconds,
+                                  resolved.watchdog_multiplier,
+                                  completion_p95.Value()) *
+          fabric.pipeline_depth;
 
       // Dispatch: fill every agent up to its pipelined lease capacity
       // (pipeline_depth x threads — the prefetch window that keeps workers
@@ -472,50 +499,17 @@ CampaignReport RunDistributedCampaign(
         if (picked.empty() &&
             (agent.snap_epoch == coord_epoch || agent.leases.empty())) {
           // Nothing to send and nothing in flight that an epoch bump could
-          // freshen — an idle agent learns the new set with its next unit.
+          // freshen — an idle agent learns the new ladder with its next unit.
           continue;
         }
-        // picked may be empty here: a full agent whose snapshot fell behind
+        // picked may be empty here: a full agent whose ladder fell behind
         // gets a unit-less broadcast batch, so the leases already queued on
-        // it execute under the newer set instead of re-running as stale.
-        std::string snapshot_record;
-        if (agent.snap_epoch < 0) {
-          // Fresh connection (or a nack voided its state): full send.
-          snapshot_record =
-              "-1 " + Int64ToString(coord_epoch) + " F\n" +
-              StrJoin(std::vector<std::string>(coord_set->begin(),
-                                               coord_set->end()),
-                      ",");
-        } else if (agent.snap_epoch == coord_epoch) {
-          snapshot_record = Int64ToString(coord_epoch) + " " +
-                            Int64ToString(coord_epoch) + " K\n";
-        } else {
-          std::vector<std::string> delta;
-          for (const std::string& param : *coord_set) {
-            if (agent.snap_set->count(param) == 0) {
-              delta.push_back("+" + param);
-            }
-          }
-          for (const std::string& param : *agent.snap_set) {
-            if (coord_set->count(param) == 0) {
-              delta.push_back("-" + param);
-            }
-          }
-          snapshot_record = Int64ToString(agent.snap_epoch) + " " +
-                            Int64ToString(coord_epoch) + " D\n" +
-                            StrJoin(delta, ",");
-        }
+        // it execute under the newer ladder instead of re-running as stale.
         std::string batch;
-        AppendBatchRecord(&batch, snapshot_record);
+        AppendBatchRecord(&batch,
+                          EncodeSnapshotSection(agent.snap_epoch, agent.snap_base,
+                                                coord_epoch, coord_ladder));
         double t = CanonicalFold::Now();
-        double deadline = WatchdogDeadlineSeconds(
-            resolved.watchdog_floor_seconds, resolved.watchdog_multiplier,
-            completion_seconds);
-        // A pipelined unit legitimately waits behind up to depth-1 queued
-        // units per thread before it starts; its watchdog budget scales to
-        // match. (Completion samples include that wait, so the p95 term is
-        // self-correcting; the scale protects the floor-dominated regime.)
-        deadline *= fabric.pipeline_depth;
         for (size_t unit_index : picked) {
           AppendBatchRecord(
               &batch, Int64ToString(static_cast<int64_t>(unit_index)) + " " +
@@ -523,6 +517,7 @@ CampaignReport RunDistributedCampaign(
           Lease lease;
           lease.attempt = fold.attempt(unit_index);
           lease.sequence = next_lease_sequence++;
+          lease.epoch = coord_epoch;
           lease.dispatch_seconds = t;
           lease.deadline_seconds = deadline;
           agent.leases[unit_index] = lease;
@@ -534,7 +529,7 @@ CampaignReport RunDistributedCampaign(
           continue;
         }
         agent.snap_epoch = coord_epoch;
-        agent.snap_set = coord_set;
+        agent.snap_base = coord_ladder.front().unsafe;
       }
       if (alive_agents() == 0) {
         continue;  // top of loop throws with the precise error
@@ -626,21 +621,17 @@ CampaignReport RunDistributedCampaign(
           continue;
         }
         for (const std::string& record : batch_records) {
-          size_t newline = record.find('\n');
-          std::vector<std::string> head =
-              StrSplit(record.substr(0, newline), ' ');
-          int64_t unit_index = -1;
-          int64_t attempt = -1;
-          int64_t result_epoch = -1;
-          if (head.size() < 3 || !ParseInt64(head[0], &unit_index) ||
-              !ParseInt64(head[1], &attempt) ||
-              !ParseInt64(head[2], &result_epoch) ||
-              newline == std::string::npos) {
+          const std::string_view text = record;
+          const size_t newline = text.find('\n');
+          int64_t head[3];  // unit, attempt, epoch
+          if (newline == std::string_view::npos ||
+              !ParseRecordHead(text.substr(0, newline), head)) {
             // Retirement clears the lease map; break so the remaining
             // records of this batch cannot miscount as duplicates.
             retire_agent(agent, "sent a malformed result");
             break;
           }
+          const auto [unit_index, attempt, result_epoch] = head;
           auto lease_it = agent.leases.find(static_cast<size_t>(unit_index));
           if (lease_it == agent.leases.end() ||
               lease_it->second.attempt != static_cast<int>(attempt)) {
@@ -653,22 +644,23 @@ CampaignReport RunDistributedCampaign(
           }
           size_t parsed_index = 0;
           UnitWorkResult unit;
-          if (!ParseUnitResult(record.substr(newline + 1), &parsed_index,
-                               &unit) ||
+          if (!ParseUnitResult(text.substr(newline + 1), &parsed_index, &unit) ||
               parsed_index != static_cast<size_t>(unit_index)) {
             retire_agent(agent, "sent an unparseable result");
             break;
           }
-          auto epoch_it = epoch_sets.find(result_epoch);
-          if (epoch_it == epoch_sets.end()) {
-            // An epoch this coordinator never issued cannot name a valid
-            // snapshot — the peer is provably broken, not merely stale.
+          auto epoch_it = epoch_ladders.find(result_epoch);
+          if (epoch_it == epoch_ladders.end()) {
+            // An epoch this coordinator never issued (or pruned: none below
+            // the lease's own dispatch epoch is reportable) cannot name a
+            // valid snapshot — the peer is provably broken, not merely stale.
             retire_agent(agent, "reported an unknown snapshot epoch");
             break;
           }
-          completion_seconds.push_back(CanonicalFold::Now() -
-                                       lease_it->second.dispatch_seconds);
-          fold.Buffer(parsed_index, std::move(unit), epoch_it->second);
+          completion_p95.Add(CanonicalFold::Now() -
+                             lease_it->second.dispatch_seconds);
+          fold.Buffer(parsed_index, std::move(unit),
+                      CanonicalFold::RungFor(epoch_it->second, parsed_index));
           agent.leases.erase(lease_it);
         }
       }
@@ -702,6 +694,16 @@ CampaignReport RunDistributedCampaign(
       }
 
       fold.Advance(rerun_exact);
+
+      // Prune the ladders no live lease can report.
+      int64_t oldest_reportable = coord_epoch;
+      for (const AgentConn& agent : fleet.agents) {
+        for (const auto& [unit_index, lease] : agent.leases) {
+          oldest_reportable = std::min(oldest_reportable, lease.epoch);
+        }
+      }
+      epoch_ladders.erase(epoch_ladders.begin(),
+                          epoch_ladders.lower_bound(oldest_reportable));
     }
 
     // ---- Graceful shutdown --------------------------------------------------

@@ -29,9 +29,13 @@
 // matrix).
 //
 // Version 2 (the batched data plane) added kDispatchBatch / kResultBatch /
-// kSnapshotNack and sends header+payload with one writev(2) per frame. A v1
-// peer's frames surface as kVersionMismatch and are refused at the
-// handshake; past the handshake both ends are proven same-version.
+// kSnapshotNack and sends header+payload with one writev(2) per frame.
+// Version 3 keeps the frames and changes what an epoch names: a dispatch
+// batch's snapshot section carries the coordinator's predicted ladder — the
+// base set plus the rungs above it (campaign_agent.h,
+// EncodeSnapshotSection) — so a v2 peer would misread it. An older peer's
+// frames surface as kVersionMismatch and are refused at the handshake; past
+// the handshake both ends are proven same-version.
 //
 // Writers must run under ScopedIgnoreSigPipe (worker_ipc.h): a send on a
 // connection whose peer died surfaces as a WriteFabricFrame return-value
@@ -46,10 +50,11 @@
 
 namespace zebra {
 
-// Version 2: batched frames (kDispatchBatch/kResultBatch), snapshot delta
-// encoding with epoch acknowledgement (kSnapshotNack), vectored frame
-// writes. v1 peers are refused at the handshake.
-inline constexpr uint32_t kFabricProtocolVersion = 2;
+// Version 3: the snapshot section carries the predicted ladder, and an
+// epoch names a whole ladder. (Version 2: batched frames, snapshot delta
+// encoding with epoch acknowledgement, vectored frame writes.) Older peers
+// are refused at the handshake.
+inline constexpr uint32_t kFabricProtocolVersion = 3;
 
 // Largest payload a well-formed peer ever sends (a batched frame carries at
 // most a few hundred serialized UnitWorkResults, each a few KB). A size
@@ -61,13 +66,13 @@ enum class FabricMsg : uint32_t {
   kHello = 1,      // agent -> coord: version / schema hash / threads / index
   kWelcome = 2,    // coord -> agent: admitted; heartbeat interval
   kReject = 3,     // coord -> agent: version or schema-hash mismatch
-  kDispatch = 4,   // v1 relic: one unit per frame; v2 peers never send it
-  kResult = 5,     // v1 relic: one result per frame; v2 peers never send it
+  kDispatch = 4,   // v1 relic: one unit per frame; never sent since v2
+  kResult = 5,     // v1 relic: one result per frame; never sent since v2
   kHeartbeat = 6,  // agent -> coord: empty payload; renews every lease
   kShutdown = 7,   // coord -> agent: campaign over, send stats and exit
   kStats = 8,      // agent -> coord: cache counters, sent once at shutdown
   // --- v2 data plane ---------------------------------------------------------
-  kDispatchBatch = 9,   // coord -> agent: snapshot epoch section + N units
+  kDispatchBatch = 9,   // coord -> agent: ladder epoch section + N units
   kResultBatch = 10,    // agent -> coord: N completed results in one frame
   kSnapshotNack = 11,   // agent -> coord: epoch mismatch; units need redispatch
 };

@@ -1,6 +1,11 @@
 #include "src/core/report_io.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <array>
+#include <charconv>
+#include <cstdint>
+#include <string_view>
+#include <vector>
 
 #include "src/common/error.h"
 #include "src/common/strings.h"
@@ -8,34 +13,40 @@
 
 namespace zebra {
 
-std::string EscapeReportText(const std::string& text) {
-  std::string escaped;
+namespace {
+
+void AppendEscaped(std::string* out, std::string_view text) {
   for (char c : text) {
     if (c == '\n') {
-      escaped += "\\n";
+      out->append("\\n");
     } else if (c == '\\') {
-      escaped += "\\\\";
+      out->append("\\\\");
     } else {
-      escaped += c;
+      out->push_back(c);
     }
   }
-  return escaped;
 }
 
-std::string UnescapeReportText(const std::string& text) {
-  std::string plain;
-  for (size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '\\' && i + 1 < text.size()) {
-      ++i;
-      plain += text[i] == 'n' ? '\n' : text[i];
-    } else {
-      plain += text[i];
-    }
-  }
-  return plain;
+// "%.17g" without printf: std::to_chars with a precision is specified to
+// produce exactly printf's bytes for the same conversion.
+void AppendDouble17(std::string* out, double value) {
+  char buffer[32];
+  char* end = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                            std::chars_format::general, 17)
+                  .ptr;
+  out->append(buffer, end);
 }
 
-namespace {
+void AppendInt(std::string* out, int64_t value) {
+  char buffer[24];
+  out->append(buffer, std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
+std::string Double17(double value) {
+  std::string text;
+  AppendDouble17(&text, value);
+  return text;
+}
 
 int64_t RequireInt(const std::map<std::string, std::string>& properties,
                    const std::string& key) {
@@ -53,141 +64,362 @@ std::string GetOr(const std::map<std::string, std::string>& properties,
   return it == properties.end() ? fallback : it->second;
 }
 
-std::string Double17(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+// The keys of a unit-result record other than the per-confirmation ones, in
+// the order RenderProperties writes them (sorted). The confirmation block
+// ("confirmation.<i>.failure|p_value|param") sorts between
+// conf_sharing_detected and confirmations.
+enum UnitKey : size_t {
+  kAfterPrerun,
+  kAfterUncertainty,
+  kAnyConfUsage,
+  kApp,
+  kCacheEvictions,
+  kCacheHits,
+  kCacheMisses,
+  kConfSharingDetected,
+  kConfirmations,
+  kCouplingConfirmations,
+  kCouplingRuns,
+  kDurations,
+  kDynamicPhaseSkipped,
+  kExecutedRuns,
+  kFilteredByHypothesis,
+  kFirstTrialCandidates,
+  kParamsTested,
+  kPrerunExecutions,
+  kRunsToFirstConfirmation,
+  kStartedAnyNode,
+  kTestId,
+  kUnit,
+  kUnitKeyCount,
+};
+
+constexpr std::string_view kUnitKeys[kUnitKeyCount] = {
+    "after_prerun",
+    "after_uncertainty",
+    "any_conf_usage",
+    "app",
+    "cache_evictions",
+    "cache_hits",
+    "cache_misses",
+    "conf_sharing_detected",
+    "confirmations",
+    "coupling_confirmations",
+    "coupling_runs",
+    "durations",
+    "dynamic_phase_skipped",
+    "executed_runs",
+    "filtered_by_hypothesis",
+    "first_trial_candidates",
+    "params_tested",
+    "prerun_executions",
+    "runs_to_first_confirmation",
+    "started_any_node",
+    "test_id",
+    "unit",
+};
+
+constexpr std::string_view kConfirmationPrefix = "confirmation.";
+// Per-confirmation fields, also in sorted order.
+constexpr std::string_view kConfirmationFields[3] = {"failure", "p_value",
+                                                     "param"};
+enum ConfirmationField : size_t { kFailure, kPValue, kParam };
+
+// Index of `key` in kUnitKeys, or kUnitKeyCount. The search starts at
+// *hint, the slot after the previous match, so a record in written order
+// matches every key at the first probe.
+size_t FindUnitKey(std::string_view key, size_t* hint) {
+  for (size_t probe = 0; probe < kUnitKeyCount; ++probe) {
+    const size_t slot = (*hint + probe) % kUnitKeyCount;
+    if (kUnitKeys[slot] == key) {
+      *hint = slot + 1;
+      return slot;
+    }
+  }
+  return kUnitKeyCount;
+}
+
+// Parses "<i>.<field>" (the key after "confirmation.") when <i> is written
+// exactly as std::to_string would write it; other spellings name no
+// confirmation and are ignored like any unknown key.
+bool ParseConfirmationKey(std::string_view rest, uint64_t* index,
+                          size_t* field) {
+  const size_t dot = rest.find('.');
+  if (dot == 0 || dot == std::string_view::npos || dot > 19 ||
+      (dot > 1 && rest[0] == '0')) {
+    return false;
+  }
+  auto [end, ec] = std::from_chars(rest.data(), rest.data() + dot, *index);
+  if (ec != std::errc() || end != rest.data() + dot) {
+    return false;
+  }
+  for (size_t f = 0; f < 3; ++f) {
+    if (rest.substr(dot + 1) == kConfirmationFields[f]) {
+      *field = f;
+      return true;
+    }
+  }
+  return false;
+}
+
+// Calls `piece(view)` for every non-empty ','-separated piece of `list`.
+template <typename Piece>
+bool ForEachListPiece(std::string_view list, Piece piece) {
+  for (;;) {
+    const size_t comma = list.find(',');
+    std::string_view item = list.substr(0, comma);
+    if (!item.empty() && !piece(item)) {
+      return false;
+    }
+    if (comma == std::string_view::npos) {
+      return true;
+    }
+    list.remove_prefix(comma + 1);
+  }
 }
 
 }  // namespace
 
-std::string SerializeUnitResult(size_t unit_index, const UnitWorkResult& unit) {
-  std::map<std::string, std::string> properties;
-  properties["unit"] = Int64ToString(static_cast<int64_t>(unit_index));
-  properties["app"] = unit.app;
-  properties["test_id"] = unit.test_id;
-  properties["prerun_executions"] = Int64ToString(unit.prerun_executions);
-  properties["after_prerun"] = Int64ToString(unit.after_prerun);
-  properties["after_uncertainty"] = Int64ToString(unit.after_uncertainty);
-  properties["executed_runs"] = Int64ToString(unit.executed_runs);
-  properties["runs_to_first_confirmation"] =
-      Int64ToString(unit.runs_to_first_confirmation);
-  properties["any_conf_usage"] = unit.any_conf_usage ? "1" : "0";
-  properties["conf_sharing_detected"] = unit.conf_sharing_detected ? "1" : "0";
-  properties["started_any_node"] = unit.started_any_node ? "1" : "0";
-  properties["first_trial_candidates"] = Int64ToString(unit.first_trial_candidates);
-  properties["filtered_by_hypothesis"] = Int64ToString(unit.filtered_by_hypothesis);
-  properties["cache_hits"] = Int64ToString(unit.cache_hits);
-  properties["cache_misses"] = Int64ToString(unit.cache_misses);
-  properties["cache_evictions"] = Int64ToString(unit.cache_evictions);
-  properties["coupling_runs"] = Int64ToString(unit.coupling_runs);
-  properties["coupling_confirmations"] =
-      Int64ToString(unit.coupling_confirmations);
-  properties["dynamic_phase_skipped"] = unit.dynamic_phase_skipped ? "1" : "0";
-  properties["params_tested"] = StrJoin(unit.params_tested, ",");
-
-  properties["confirmations"] =
-      Int64ToString(static_cast<int64_t>(unit.confirmations.size()));
-  for (size_t i = 0; i < unit.confirmations.size(); ++i) {
-    const UnitConfirmation& confirmation = unit.confirmations[i];
-    std::string prefix = "confirmation." + std::to_string(i) + ".";
-    properties[prefix + "param"] = confirmation.param;
-    properties[prefix + "p_value"] = Double17(confirmation.p_value);
-    properties[prefix + "failure"] = EscapeReportText(confirmation.witness_failure);
-  }
-
-  std::vector<std::string> durations;
-  durations.reserve(unit.run_durations.size());
-  for (double duration : unit.run_durations) {
-    durations.push_back(Double17(duration));
-  }
-  properties["durations"] = StrJoin(durations, ",");
-  return RenderProperties(properties);
+std::string EscapeReportText(const std::string& text) {
+  std::string escaped;
+  AppendEscaped(&escaped, text);
+  return escaped;
 }
 
-bool ParseUnitResult(const std::string& text, size_t* unit_index,
-                     UnitWorkResult* unit) {
-  std::map<std::string, std::string> properties;
-  try {
-    properties = ParseProperties(text);
-  } catch (const Error&) {
-    return false;
+std::string UnescapeReportText(std::string_view text) {
+  std::string plain;
+  plain.reserve(text.size());
+  for (size_t i = 0; i < text.size(); ++i) {
+    if (text[i] == '\\' && i + 1 < text.size()) {
+      ++i;
+      plain += text[i] == 'n' ? '\n' : text[i];
+    } else {
+      plain += text[i];
+    }
   }
-  auto get = [&](const std::string& key) -> const std::string& {
-    static const std::string kEmpty;
-    auto it = properties.find(key);
-    return it == properties.end() ? kEmpty : it->second;
+  return plain;
+}
+
+std::string SerializeUnitResult(size_t unit_index, const UnitWorkResult& unit) {
+  // The bytes RenderProperties writes for the same key/value map: one
+  // "key = value" line per key, keys sorted.
+  std::string out;
+  out.reserve(640 + 24 * unit.run_durations.size() +
+              160 * unit.confirmations.size());
+  auto key = [&out](std::string_view name) {
+    out.append(name);
+    out.append(" = ");
   };
-  auto get_int = [&](const std::string& key, int64_t* out) {
-    return ParseInt64(get(key), out);
+  auto int_line = [&](UnitKey name, int64_t value) {
+    key(kUnitKeys[name]);
+    AppendInt(&out, value);
+    out.push_back('\n');
+  };
+  auto flag_line = [&](UnitKey name, bool value) {
+    key(kUnitKeys[name]);
+    out.append(value ? "1\n" : "0\n");
+  };
+  auto text_line = [&](UnitKey name, std::string_view value) {
+    key(kUnitKeys[name]);
+    out.append(value);
+    out.push_back('\n');
   };
 
+  int_line(kAfterPrerun, unit.after_prerun);
+  int_line(kAfterUncertainty, unit.after_uncertainty);
+  flag_line(kAnyConfUsage, unit.any_conf_usage);
+  text_line(kApp, unit.app);
+  int_line(kCacheEvictions, unit.cache_evictions);
+  int_line(kCacheHits, unit.cache_hits);
+  int_line(kCacheMisses, unit.cache_misses);
+  flag_line(kConfSharingDetected, unit.conf_sharing_detected);
+
+  // Confirmation keys sort by the decimal text of their index
+  // ("confirmation.10." < "confirmation.2."), so from 11 on the written
+  // order is not the numeric one.
+  const size_t count = unit.confirmations.size();
+  std::vector<size_t> order(count);
+  for (size_t i = 0; i < count; ++i) {
+    order[i] = i;
+  }
+  if (count > 10) {
+    std::sort(order.begin(), order.end(), [](size_t a, size_t b) {
+      char left[24];
+      char right[24];
+      return std::string_view(left, std::to_chars(left, left + 24, a).ptr - left) <
+             std::string_view(right,
+                              std::to_chars(right, right + 24, b).ptr - right);
+    });
+  }
+  for (size_t i : order) {
+    const UnitConfirmation& confirmation = unit.confirmations[i];
+    auto confirmation_key = [&](ConfirmationField field) {
+      out.append(kConfirmationPrefix);
+      AppendInt(&out, static_cast<int64_t>(i));
+      out.push_back('.');
+      key(kConfirmationFields[field]);
+    };
+    confirmation_key(kFailure);
+    AppendEscaped(&out, confirmation.witness_failure);
+    out.push_back('\n');
+    confirmation_key(kPValue);
+    AppendDouble17(&out, confirmation.p_value);
+    out.push_back('\n');
+    confirmation_key(kParam);
+    out.append(confirmation.param);
+    out.push_back('\n');
+  }
+
+  int_line(kConfirmations, static_cast<int64_t>(count));
+  int_line(kCouplingConfirmations, unit.coupling_confirmations);
+  int_line(kCouplingRuns, unit.coupling_runs);
+  key(kUnitKeys[kDurations]);
+  for (size_t i = 0; i < unit.run_durations.size(); ++i) {
+    if (i > 0) {
+      out.push_back(',');
+    }
+    AppendDouble17(&out, unit.run_durations[i]);
+  }
+  out.push_back('\n');
+  flag_line(kDynamicPhaseSkipped, unit.dynamic_phase_skipped);
+  int_line(kExecutedRuns, unit.executed_runs);
+  int_line(kFilteredByHypothesis, unit.filtered_by_hypothesis);
+  int_line(kFirstTrialCandidates, unit.first_trial_candidates);
+  key(kUnitKeys[kParamsTested]);
+  for (size_t i = 0; i < unit.params_tested.size(); ++i) {
+    if (i > 0) {
+      out.push_back(',');
+    }
+    out.append(unit.params_tested[i]);
+  }
+  out.push_back('\n');
+  int_line(kPrerunExecutions, unit.prerun_executions);
+  int_line(kRunsToFirstConfirmation, unit.runs_to_first_confirmation);
+  flag_line(kStartedAnyNode, unit.started_any_node);
+  text_line(kTestId, unit.test_id);
+  int_line(kUnit, static_cast<int64_t>(unit_index));
+  return out;
+}
+
+bool ParseUnitResult(std::string_view text, size_t* unit_index,
+                     UnitWorkResult* unit) {
+  // One pass over the lines with the grammar of ParseProperties: each line
+  // is isspace-trimmed; blank and '#' lines are skipped; any other line
+  // needs an '=' and a non-empty key; key and value are trimmed; a repeated
+  // key's last value wins. Values stay views into `text`, and an absent key
+  // reads as an empty value, as it did through the property map.
+  std::string_view values[kUnitKeyCount];
+  struct ConfirmationEntry {
+    uint64_t index;
+    size_t field;
+    std::string_view value;
+  };
+  std::vector<ConfirmationEntry> confirmation_entries;
+  size_t hint = 0;
+  std::string_view rest = text;
+  for (;;) {
+    const size_t newline = rest.find('\n');
+    const std::string_view line = StrTrimView(rest.substr(0, newline));
+    if (!line.empty() && line[0] != '#') {
+      const size_t eq = line.find('=');
+      if (eq == std::string_view::npos) {
+        return false;
+      }
+      const std::string_view key = StrTrimView(line.substr(0, eq));
+      const std::string_view value = StrTrimView(line.substr(eq + 1));
+      if (key.empty()) {
+        return false;
+      }
+      uint64_t index = 0;
+      size_t field = 0;
+      if (key.substr(0, kConfirmationPrefix.size()) == kConfirmationPrefix) {
+        if (ParseConfirmationKey(key.substr(kConfirmationPrefix.size()), &index,
+                                 &field)) {
+          confirmation_entries.push_back({index, field, value});
+        }
+      } else if (size_t slot = FindUnitKey(key, &hint); slot < kUnitKeyCount) {
+        values[slot] = value;
+      }
+      // Keys this parser does not read are ignored, so records written
+      // before the equivalence cache's three counters were dropped still
+      // resume.
+    }
+    if (newline == std::string_view::npos) {
+      break;
+    }
+    rest.remove_prefix(newline + 1);
+  }
+
   int64_t index = -1;
-  if (!get_int("unit", &index) || index < 0) {
+  if (!ParseInt64(values[kUnit], &index) || index < 0) {
     return false;
   }
   *unit_index = static_cast<size_t>(index);
-  unit->app = get("app");
-  unit->test_id = get("test_id");
-  // Keys this parser does not read are ignored, so records written before
-  // the equivalence cache's three counters were dropped still resume.
+  unit->app = values[kApp];
+  unit->test_id = values[kTestId];
   int64_t candidates = 0;
   int64_t filtered = 0;
-  if (!get_int("prerun_executions", &unit->prerun_executions) ||
-      !get_int("after_prerun", &unit->after_prerun) ||
-      !get_int("after_uncertainty", &unit->after_uncertainty) ||
-      !get_int("executed_runs", &unit->executed_runs) ||
-      !get_int("runs_to_first_confirmation", &unit->runs_to_first_confirmation) ||
-      !get_int("first_trial_candidates", &candidates) ||
-      !get_int("filtered_by_hypothesis", &filtered) ||
-      !get_int("cache_hits", &unit->cache_hits) ||
-      !get_int("cache_misses", &unit->cache_misses) ||
-      !get_int("cache_evictions", &unit->cache_evictions)) {
+  if (!ParseInt64(values[kPrerunExecutions], &unit->prerun_executions) ||
+      !ParseInt64(values[kAfterPrerun], &unit->after_prerun) ||
+      !ParseInt64(values[kAfterUncertainty], &unit->after_uncertainty) ||
+      !ParseInt64(values[kExecutedRuns], &unit->executed_runs) ||
+      !ParseInt64(values[kRunsToFirstConfirmation],
+                  &unit->runs_to_first_confirmation) ||
+      !ParseInt64(values[kFirstTrialCandidates], &candidates) ||
+      !ParseInt64(values[kFilteredByHypothesis], &filtered) ||
+      !ParseInt64(values[kCacheHits], &unit->cache_hits) ||
+      !ParseInt64(values[kCacheMisses], &unit->cache_misses) ||
+      !ParseInt64(values[kCacheEvictions], &unit->cache_evictions)) {
     return false;
   }
   unit->first_trial_candidates = static_cast<int>(candidates);
   unit->filtered_by_hypothesis = static_cast<int>(filtered);
-  unit->any_conf_usage = get("any_conf_usage") == "1";
-  unit->conf_sharing_detected = get("conf_sharing_detected") == "1";
-  unit->started_any_node = get("started_any_node") == "1";
+  unit->any_conf_usage = values[kAnyConfUsage] == "1";
+  unit->conf_sharing_detected = values[kConfSharingDetected] == "1";
+  unit->started_any_node = values[kStartedAnyNode] == "1";
   // Absent in pre-coupling serializations: the add-on did not exist.
-  ParseInt64(get("coupling_runs"), &unit->coupling_runs);
-  ParseInt64(get("coupling_confirmations"), &unit->coupling_confirmations);
-  unit->dynamic_phase_skipped = get("dynamic_phase_skipped") == "1";
+  ParseInt64(values[kCouplingRuns], &unit->coupling_runs);
+  ParseInt64(values[kCouplingConfirmations], &unit->coupling_confirmations);
+  unit->dynamic_phase_skipped = values[kDynamicPhaseSkipped] == "1";
 
-  for (const std::string& param : StrSplit(get("params_tested"), ',')) {
-    if (!param.empty()) {
-      unit->params_tested.push_back(param);
-    }
-  }
+  ForEachListPiece(values[kParamsTested], [&](std::string_view param) {
+    unit->params_tested.emplace_back(param);
+    return true;
+  });
 
   int64_t confirmations = 0;
-  if (!get_int("confirmations", &confirmations) || confirmations < 0) {
+  if (!ParseInt64(values[kConfirmations], &confirmations) || confirmations < 0 ||
+      static_cast<uint64_t>(confirmations) > confirmation_entries.size()) {
+    // Past the entry count some index has no param line.
     return false;
   }
-  for (int64_t i = 0; i < confirmations; ++i) {
-    std::string prefix = "confirmation." + std::to_string(i) + ".";
+  std::vector<std::array<std::string_view, 3>> fields(
+      static_cast<size_t>(confirmations));
+  for (const ConfirmationEntry& entry : confirmation_entries) {
+    if (entry.index < fields.size()) {
+      fields[entry.index][entry.field] = entry.value;  // last one wins
+    }
+  }
+  unit->confirmations.reserve(fields.size());
+  for (const std::array<std::string_view, 3>& entry : fields) {
     UnitConfirmation confirmation;
-    confirmation.param = get(prefix + "param");
-    if (confirmation.param.empty() ||
-        !ParseDouble(get(prefix + "p_value"), &confirmation.p_value)) {
+    if (entry[kParam].empty() ||
+        !ParseDouble(entry[kPValue], &confirmation.p_value)) {
       return false;
     }
-    confirmation.witness_failure = UnescapeReportText(get(prefix + "failure"));
+    confirmation.param = entry[kParam];
+    confirmation.witness_failure = UnescapeReportText(entry[kFailure]);
     unit->confirmations.push_back(std::move(confirmation));
   }
 
-  for (const std::string& duration_text : StrSplit(get("durations"), ',')) {
-    if (duration_text.empty()) {
-      continue;
-    }
+  return ForEachListPiece(values[kDurations], [&](std::string_view piece) {
     double duration = 0;
-    if (!ParseDouble(duration_text, &duration)) {
+    if (!ParseDouble(piece, &duration)) {
       return false;
     }
     unit->run_durations.push_back(duration);
-  }
-  return true;
+    return true;
+  });
 }
 
 std::string SerializeReport(const CampaignReport& report) {

@@ -6,6 +6,7 @@
 #define SRC_CORE_REPORT_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/core/campaign.h"
 
@@ -25,7 +26,7 @@ CampaignReport DeserializeReport(const std::string& text);
 // embedded in single-line properties values. Shared with the unit-result
 // format below.
 std::string EscapeReportText(const std::string& text);
-std::string UnescapeReportText(const std::string& text);
+std::string UnescapeReportText(std::string_view text);
 
 // One work unit's full contribution as properties text — the payload of the
 // distributed fabric's result records and of campaign-journal records (both
@@ -34,7 +35,7 @@ std::string UnescapeReportText(const std::string& text);
 // false on malformed input, which the fabric treats as a broken agent and
 // the journal as a torn tail.
 std::string SerializeUnitResult(size_t unit_index, const UnitWorkResult& unit);
-bool ParseUnitResult(const std::string& text, size_t* unit_index,
+bool ParseUnitResult(std::string_view text, size_t* unit_index,
                      UnitWorkResult* unit);
 
 }  // namespace zebra

@@ -23,15 +23,21 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/error.h"
+#include "src/common/strings.h"
 #include "src/core/campaign_agent.h"
 #include "src/core/campaign_executor.h"
 #include "src/core/distributed_campaign.h"
 #include "src/core/fabric_wire.h"
 #include "src/core/fault_injection.h"
+#include "src/core/report_io.h"
+#include "src/core/worker_ipc.h"
 #include "src/testkit/full_schema.h"
 #include "src/testkit/unit_test_registry.h"
 
@@ -282,6 +288,67 @@ TEST(FabricWireTest, BatchRecordRoundTrip) {
   // A truncated prefix of a valid payload must not decode.
   EXPECT_FALSE(DecodeBatchRecords(payload.substr(0, payload.size() - 1),
                                   &decoded));
+}
+
+TEST(FabricWireTest, SnapshotSectionCarriesTheLadder) {
+  auto snapshot = [](std::set<std::string> params) {
+    return UnsafeSnapshot(
+        std::make_shared<const std::set<std::string>>(std::move(params)));
+  };
+  auto expect_same_function = [](const std::vector<Rung>& got,
+                                 const std::vector<Rung>& want, size_t units) {
+    for (size_t unit = 0; unit < units; ++unit) {
+      EXPECT_EQ(*CanonicalFold::RungFor(got, unit),
+                *CanonicalFold::RungFor(want, unit))
+          << "unit " << unit;
+    }
+  };
+  const std::vector<Rung> first = {{3, snapshot({"a.x", "b.y"})},
+                                   {5, snapshot({"a.x", "b.y", "c.z"})},
+                                   {9, snapshot({"a.x", "b.y", "c.z", "d.w"})}};
+
+  // A fresh agent gets a full send: base plus one line per rung above it.
+  std::string full = EncodeSnapshotSection(-1, nullptr, 4, first);
+  EXPECT_EQ(full, "-1 4 F\na.x,b.y\n5 c.z\n9 d.w");
+  int64_t epoch = -1;
+  std::vector<Rung> ladder;
+  ASSERT_TRUE(ApplySnapshotSection(full, &epoch, &ladder));
+  EXPECT_EQ(epoch, 4);
+  expect_same_function(ladder, first, 12);
+
+  // Keep: nothing changes, and only the holder of that epoch may keep.
+  EXPECT_EQ(EncodeSnapshotSection(4, first.front().unsafe, 4, first), "4 4 K");
+  EXPECT_TRUE(ApplySnapshotSection("4 4 K", &epoch, &ladder));
+  EXPECT_EQ(epoch, 4);
+  int64_t other_epoch = 3;
+  std::vector<Rung> other = ladder;
+  EXPECT_FALSE(ApplySnapshotSection("4 4 K", &other_epoch, &other));
+
+  // A delta moves the base; rungs are replaced wholesale.
+  const std::vector<Rung> second = {{6, snapshot({"a.x", "e.v"})},
+                                    {7, snapshot({"a.x", "e.v", "f.u"})}};
+  std::string delta = EncodeSnapshotSection(4, first.front().unsafe, 6, second);
+  EXPECT_EQ(delta, "4 6 D\n+e.v,-b.y\n7 f.u");
+  ASSERT_TRUE(ApplySnapshotSection(delta, &epoch, &ladder));
+  EXPECT_EQ(epoch, 6);
+  expect_same_function(ladder, second, 12);
+
+  // A delta against an epoch the agent does not hold, and malformed
+  // sections, are refused without touching the agent's state.
+  const std::vector<Rung> held = ladder;
+  for (const std::string& bad :
+       {std::string("5 7 D\n+g.t"), std::string("6 7 X\n"),
+        std::string("6 7"), std::string("6 7 F"), std::string("x 7 F\na"),
+        std::string("-1 7 F\na\n4 b\n4 c"), std::string("-1 7 F\na\nb"),
+        std::string("-1 7 F\na\n-2 b")}) {
+    EXPECT_FALSE(ApplySnapshotSection(bad, &epoch, &ladder)) << bad;
+    EXPECT_EQ(epoch, 6) << bad;
+    expect_same_function(ladder, held, 12);
+  }
+  int64_t empty_epoch = 6;
+  std::vector<Rung> empty;
+  EXPECT_FALSE(ApplySnapshotSection("6 6 K", &empty_epoch, &empty))
+      << "an agent holding no ladder cannot keep one";
 }
 
 TEST(FabricWireTest, TcpNoDelaySetOnAcceptedAndConnectedSockets) {
@@ -655,6 +722,171 @@ TEST(DistributedCampaignTest, BitwiseIdenticalAcrossPipelineDepths) {
   invalid.agents = 1;
   invalid.pipeline_depth = 0;
   EXPECT_THROW(RunFabric(options, invalid), Error);
+}
+
+// The bytes of one frame as a peer speaking `version` would send them.
+std::string FrameFromVersion(uint32_t version, FabricMsg type,
+                             const std::string& payload) {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  EXPECT_TRUE(WriteFabricFrame(fds[1], type, payload));
+  ::close(fds[1]);
+  std::string wire(4096, '\0');
+  ssize_t n = ::read(fds[0], wire.data(), wire.size());
+  ::close(fds[0]);
+  wire.resize(n > 0 ? static_cast<size_t>(n) : 0);
+  EXPECT_GT(wire.size(), 8u);
+  for (int byte = 0; byte < 4; ++byte) {
+    wire[4 + static_cast<size_t>(byte)] =
+        static_cast<char>((version >> (8 * byte)) & 0xff);
+  }
+  return wire;
+}
+
+TEST(DistributedCampaignTest, V2AgentRefusedAtHandshake) {
+  CampaignOptions options = SmallCampaign();
+  CampaignReport expected = SequentialReference(options);
+
+  uint16_t port = 0;
+  int probe = ListenTcp("127.0.0.1", 0, &port);
+  ASSERT_GE(probe, 0);
+  ::close(probe);
+
+  DistributedCampaignOptions fabric;
+  fabric.agents = 1;
+  fabric.spawn_agents = false;
+  fabric.listen_address = "127.0.0.1:" + std::to_string(port);
+  fabric.handshake_timeout_seconds = 20.0;
+  CampaignReport report;
+  std::string coordinator_error;
+  std::thread coordinator([&]() {
+    try {
+      report = RunFabric(options, fabric);
+    } catch (const std::exception& e) {
+      coordinator_error = e.what();
+    }
+  });
+
+  // A v2 agent with the right schema hash says hello: it is refused by name
+  // and disconnected, and the coordinator keeps waiting for its fleet.
+  ScopedIgnoreSigPipe sigpipe_guard;
+  int fd = ConnectTcp("127.0.0.1", port, 10.0);
+  ASSERT_GE(fd, 0);
+  const std::string hello =
+      FabricSchemaHash(FullSchema(), FullCorpus(), options) + "\n1\n0";
+  const std::string v2_hello = FrameFromVersion(2, FabricMsg::kHello, hello);
+  ASSERT_TRUE(WriteAll(fd, v2_hello.data(), v2_hello.size()));
+  FabricMsg type;
+  std::string payload;
+  ASSERT_EQ(ReadFabricFrame(fd, &type, &payload), FabricRead::kOk);
+  EXPECT_EQ(type, FabricMsg::kReject);
+  EXPECT_EQ(payload, "protocol version mismatch");
+  // Then the connection is gone (the coordinator may close with the rest of
+  // the hello unread, which resets rather than ends the stream).
+  EXPECT_NE(ReadFabricFrame(fd, &type, &payload), FabricRead::kOk);
+  ::close(fd);
+
+  // A current agent then completes the campaign.
+  CampaignAgentOptions agent;
+  agent.port = port;
+  agent.threads = 2;
+  EXPECT_EQ(RunCampaignAgent(FullSchema(), FullCorpus(), options, agent), 0);
+  coordinator.join();
+  ASSERT_EQ(coordinator_error, "");
+  ExpectIdenticalResults(report, expected, "after refusing a v2 agent");
+  EXPECT_EQ(report.agent_disconnects, 0);
+}
+
+TEST(DistributedCampaignTest, OverPredictingLadderBitwiseIdentical) {
+  // Drives a real agent over the real wire from a hand-rolled coordinator
+  // that dispatches every unit under a deliberately over-predicting ladder:
+  // unit 0 under the empty set (exact), every later unit under the set of
+  // every parameter the campaign ever finds — a superset of each U(i). Only
+  // the S \ U(i) side of the staleness check can fire, so results that
+  // tested a parameter the ladder marked too early must re-run at their
+  // fold turn, and the folded report must still equal the sequential one.
+  CampaignOptions options = SmallCampaign();
+  const CampaignReport expected = SequentialReference(options);
+  std::set<std::string> found;
+  for (const auto& [param, finding] : expected.findings) {
+    found.insert(param);
+  }
+  ASSERT_FALSE(found.empty());
+  const std::vector<Rung> ladder = {
+      {0, std::make_shared<const std::set<std::string>>()},
+      {1, std::make_shared<const std::set<std::string>>(found)}};
+
+  CanonicalFold fold("ladder test", FullSchema(), FullCorpus(), options,
+                     FoldControls{});
+  ASSERT_GT(fold.remaining(), 2u);
+
+  ScopedIgnoreSigPipe sigpipe_guard;
+  uint16_t port = 0;
+  int listen_fd = ListenTcp("127.0.0.1", 0, &port);
+  ASSERT_GE(listen_fd, 0);
+  int agent_exit = -1;
+  std::thread agent_thread([&]() {
+    CampaignAgentOptions agent;
+    agent.port = port;
+    agent.threads = 2;
+    agent_exit = RunCampaignAgent(FullSchema(), FullCorpus(), options, agent);
+  });
+  int fd = AcceptTcp(listen_fd);
+  ASSERT_GE(fd, 0);
+  FabricMsg type;
+  std::string payload;
+  ASSERT_EQ(ReadFabricFrame(fd, &type, &payload), FabricRead::kOk);
+  ASSERT_EQ(type, FabricMsg::kHello);
+  ASSERT_TRUE(WriteFabricFrame(fd, FabricMsg::kWelcome, "0\n0.2"));
+
+  std::string batch;
+  AppendBatchRecord(&batch, EncodeSnapshotSection(-1, nullptr, 0, ladder));
+  for (size_t unit = fold.cursor(); unit < fold.units().size(); ++unit) {
+    AppendBatchRecord(&batch, std::to_string(unit) + " 0");
+  }
+  ASSERT_TRUE(WriteFabricFrame(fd, FabricMsg::kDispatchBatch, batch));
+
+  Campaign local(FullSchema(), FullCorpus(), options);
+  const CanonicalFold::Rerun rerun = [&](size_t unit) {
+    return local.RunUnit(*fold.units()[unit].test, fold.globally_unsafe());
+  };
+  size_t resolved_over = 0;
+  while (fold.remaining() > 0) {
+    ASSERT_EQ(ReadFabricFrame(fd, &type, &payload), FabricRead::kOk);
+    if (type != FabricMsg::kResultBatch) {
+      continue;  // heartbeats
+    }
+    std::vector<std::string> records;
+    ASSERT_TRUE(DecodeBatchRecords(payload, &records));
+    for (const std::string& record : records) {
+      const size_t newline = record.find('\n');
+      ASSERT_NE(newline, std::string::npos);
+      std::vector<std::string> head = StrSplit(record.substr(0, newline), ' ');
+      ASSERT_EQ(head.size(), 3u);
+      EXPECT_EQ(head[2], "0") << "the one epoch this coordinator issued";
+      size_t unit = 0;
+      UnitWorkResult result;
+      ASSERT_TRUE(ParseUnitResult(record.substr(newline + 1), &unit, &result));
+      const UnsafeSnapshot& ran_under = CanonicalFold::RungFor(ladder, unit);
+      resolved_over += ran_under->empty() ? 0 : 1;
+      fold.Buffer(unit, std::move(result), ran_under);
+    }
+    fold.Advance(rerun);
+  }
+  ASSERT_TRUE(WriteFabricFrame(fd, FabricMsg::kShutdown, std::string()));
+  while (ReadFabricFrame(fd, &type, &payload) == FabricRead::kOk &&
+         type != FabricMsg::kStats) {
+  }
+  agent_thread.join();
+  ::close(fd);
+  ::close(listen_fd);
+  EXPECT_EQ(agent_exit, 0);
+
+  const CampaignReport report = fold.Finish();
+  EXPECT_EQ(resolved_over, fold.units().size() - 1);
+  EXPECT_GT(report.stale_reruns, 0) << "the over-prediction never fired";
+  EXPECT_LT(report.stale_reruns, static_cast<int64_t>(fold.units().size()));
+  ExpectIdenticalResults(report, expected, "over-predicting ladder");
 }
 
 TEST(DistributedCampaignTest, EpochDesyncForcesFullResendBitwiseIdentical) {

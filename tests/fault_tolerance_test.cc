@@ -26,6 +26,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -184,6 +185,75 @@ TEST(WatchdogTest, Percentile95RankSelection) {
     twenty.push_back(static_cast<double>(i));
   }
   EXPECT_DOUBLE_EQ(Percentile95(twenty), 19.0);
+}
+
+// The fabric coordinator keeps the percentile up to date per completion
+// instead of selecting over every sample per dispatch; it must read exactly
+// what the batch selection reads, after every sample.
+void ExpectStreamingMatchesBatch(const std::vector<double>& samples,
+                                 const std::string& label) {
+  StreamingPercentile95 streaming;
+  EXPECT_EQ(streaming.Value(), 0.0) << label;
+  std::vector<double> prefix;
+  for (double sample : samples) {
+    streaming.Add(sample);
+    prefix.push_back(sample);
+    ASSERT_EQ(streaming.Value(), Percentile95(prefix))
+        << label << " after " << prefix.size() << " samples";
+  }
+}
+
+TEST(WatchdogTest, StreamingPercentile95MatchesBatchForEveryCount) {
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> seconds(0.0, 3.0);
+  std::vector<double> samples;
+  for (int i = 0; i < 2000; ++i) {
+    samples.push_back(seconds(rng));
+  }
+  ExpectStreamingMatchesBatch(samples, "uniform");
+
+  std::vector<double> skewed;
+  std::exponential_distribution<double> tail(20.0);
+  for (int i = 0; i < 500; ++i) {
+    skewed.push_back(i % 97 == 0 ? 30.0 + tail(rng) : tail(rng));
+  }
+  ExpectStreamingMatchesBatch(skewed, "heavy tail");
+}
+
+TEST(WatchdogTest, StreamingPercentile95MatchesBatchOnTiesAndOrder) {
+  std::mt19937_64 rng(29);
+  std::vector<double> ties;
+  for (int i = 0; i < 600; ++i) {
+    ties.push_back(0.1 * static_cast<double>(rng() % 3));
+  }
+  ExpectStreamingMatchesBatch(ties, "three distinct values");
+  ExpectStreamingMatchesBatch(std::vector<double>(300, 0.25), "all equal");
+  std::vector<double> ascending;
+  for (int i = 0; i < 300; ++i) {
+    ascending.push_back(static_cast<double>(i));
+  }
+  ExpectStreamingMatchesBatch(ascending, "ascending");
+  ExpectStreamingMatchesBatch(
+      std::vector<double>(ascending.rbegin(), ascending.rend()), "descending");
+}
+
+TEST(WatchdogTest, StreamingDeadlineIsBitIdenticalToTheSampleFormula) {
+  std::mt19937_64 rng(41);
+  std::uniform_real_distribution<double> seconds(0.001, 0.2);
+  StreamingPercentile95 streaming;
+  std::vector<double> samples;
+  for (int i = 0; i <= 300; ++i) {
+    for (double floor : {-1.0, 0.0, 0.5, 60.0}) {
+      for (double multiplier : {-2.0, 0.0, 1.0, 8.0}) {
+        ASSERT_EQ(WatchdogDeadlineFromP95(floor, multiplier, streaming.Value()),
+                  WatchdogDeadlineSeconds(floor, multiplier, samples))
+            << floor << " " << multiplier << " after " << samples.size();
+      }
+    }
+    const double sample = seconds(rng);
+    streaming.Add(sample);
+    samples.push_back(sample);
+  }
 }
 
 // One speculative backend under fault injection.
