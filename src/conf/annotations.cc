@@ -20,13 +20,22 @@ Registry& GetRegistry() {
 
 }  // namespace
 
-bool RegisterAnnotationSiteOnce(const std::string& app, AnnotationKind kind,
+bool RegisterAnnotationSiteOnce(std::string_view app, AnnotationKind kind,
                                 const char* file, int line) {
+  // Node constructors call this every time they run, from every worker
+  // thread. A site this thread has already registered needs neither the
+  // global lock nor a string key; the set is keyed by the file pointer, so
+  // the same file reached through another pointer just takes the locked
+  // path once more, which deduplicates by name.
+  thread_local std::set<std::pair<const char*, int>> seen_here;
+  if (!seen_here.emplace(file, line).second) {
+    return true;
+  }
   Registry& registry = GetRegistry();
   std::lock_guard<std::mutex> lock(registry.mutex);
   auto key = std::make_pair(std::string(file), line);
   if (registry.seen.insert(key).second) {
-    registry.sites.push_back(AnnotationSite{app, kind, file, line});
+    registry.sites.push_back(AnnotationSite{std::string(app), kind, file, line});
   }
   return true;
 }

@@ -11,6 +11,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace zebra {
@@ -30,7 +31,7 @@ struct AnnotationSite {
 
 // Registers a site once (idempotent per file:line). Returns true so it can be
 // used to initialize a function-local static.
-bool RegisterAnnotationSiteOnce(const std::string& app, AnnotationKind kind,
+bool RegisterAnnotationSiteOnce(std::string_view app, AnnotationKind kind,
                                 const char* file, int line);
 
 // All sites registered so far (only sites whose code actually executed).

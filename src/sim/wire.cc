@@ -281,10 +281,16 @@ Bytes DecodeFrame(const WireConfig& config, const Bytes& frame) {
 }
 
 std::string WireToken(std::string_view value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(value)));
-  return buffer;
+  // The bytes of "%016llx" of the digest, one nibble at a time: every
+  // simulated RPC handshake makes two tokens, so printf's format parsing
+  // showed up in whole-campaign profiles.
+  static constexpr char kHexDigits[] = "0123456789abcdef";
+  uint64_t digest = Fnv1a64(value);
+  std::string token(16, '0');
+  for (size_t i = token.size(); i-- > 0; digest >>= 4) {
+    token[i] = kHexDigits[digest & 0xf];
+  }
+  return token;
 }
 
 void RequireMatchingTokens(std::string_view channel, std::string_view initiator_token,

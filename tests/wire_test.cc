@@ -3,12 +3,15 @@
 
 #include "src/sim/wire.h"
 
+#include <cstdio>
 #include <string>
+#include <string_view>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "src/common/error.h"
+#include "src/common/rng.h"
 
 namespace zebra {
 namespace {
@@ -199,6 +202,19 @@ TEST(HandshakeTest, TokensAreOpaqueAndStable) {
   EXPECT_EQ(WireToken("privacy"), WireToken("privacy"));
   EXPECT_NE(WireToken("privacy"), WireToken("authentication"));
   EXPECT_EQ(WireToken("privacy").size(), 16u);
+}
+
+TEST(HandshakeTest, TokensAreTheDigestInSixteenLowerHexDigits) {
+  // Golden against the printf rendering the token format was defined by.
+  for (std::string_view value :
+       {"", "a", "b", "privacy", "authentication", "integrity", "false", "true",
+        "SASL_SSL", "0", "a-much-longer-value-that-spans-several-words",
+        "\xff\x00\x7f", "dfs.data.transfer.protection"}) {
+    char expected[32];
+    std::snprintf(expected, sizeof(expected), "%016llx",
+                  static_cast<unsigned long long>(Fnv1a64(value)));
+    EXPECT_EQ(WireToken(value), expected) << value;
+  }
 }
 
 TEST(HandshakeTest, MatchingTokensPass) {
